@@ -1,8 +1,9 @@
 // fenrir::chaos — scheduled process kills inside file saves.
 //
-// The atomic writers (io/snapshot.h) promise that a crash mid-save never
-// tears the file being replaced: the bytes go to a temp file and the old
-// state survives until the final rename. fault_plan.h can kill a sweep;
+// The atomic writer (io/snapshot.h's atomic_write_file, which the
+// segment store's MANIFEST goes through) promises that a crash mid-save
+// never tears the file being replaced: the bytes go to a temp file and
+// the old state survives until the final rename. fault_plan.h can kill a sweep;
 // this header lets a test kill the *save itself* at a chosen byte
 // offset, which is the only way to exercise that promise for real — the
 // process dies with the temp file half-written and the assertion is that

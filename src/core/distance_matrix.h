@@ -204,15 +204,14 @@ class SimilarityMatrix {
   /// cache-hot, instead of being re-fetched once per appended row — and
   /// the batch×batch corner fills row-major off the already-computed
   /// counts. Ingest paths that buffer observations (`fenrirctl analyze
-  /// --matrix-cache` warm appends, watch resume rebuilds, Campaign epoch
-  /// folds) and compute() route through this. Weighted matrices fall
+  /// --matrix-cache` warm appends, Campaign epoch folds) and compute() route through this. Weighted matrices fall
   /// back to the plain append loop (no cached counts to batch).
   void append_batch(std::span<const RoutingVector> batch);
 
   /// Pre-sizes the packed store, value triangle, and validity bits for
   /// @p rows total observations (no-op when already that large). Ingest
   /// paths that know how much history they are about to replay — a
-  /// matrix-cache warm append, a watch-resume rebuild, an epoch fold —
+  /// matrix-cache warm append, an epoch fold —
   /// call this so the appends grow storage once instead of reallocating
   /// (and copying the whole triangle) mid-stream.
   void reserve(std::size_t rows) {

@@ -68,7 +68,7 @@ class ModeBook {
   /// Replaces the book's state with a previously captured one (the
   /// representative per mode plus the per-observation mode history), so
   /// a watcher can resume where an earlier process stopped (fenrirctl
-  /// watch --resume). Throws std::invalid_argument when a history entry
+  /// watch --store). Throws std::invalid_argument when a history entry
   /// names a mode without a representative.
   void restore(std::vector<RoutingVector> representatives,
                std::vector<std::size_t> history);

@@ -438,7 +438,13 @@ class SegmentCodec {
 
 SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
     : dir_(std::move(dir)), cfg_(std::move(cfg)) {
-  std::filesystem::create_directories(dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec || !std::filesystem::is_directory(dir_)) {
+    throw DatasetIoError("cannot open segment store " + dir_.string() +
+                         ": " +
+                         (ec ? ec.message() : "not a directory"));
+  }
   std::lock_guard<std::mutex> lock(state_mutex_);
   bool dirty = false;
   if (std::filesystem::exists(manifest_path())) {

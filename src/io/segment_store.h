@@ -1,8 +1,9 @@
 // fenrir::io — FENRSEG1: a segmented, spill-as-you-go history store.
 //
-// The FENRSNAP snapshot re-encodes and rewrites the entire Φ stack on
-// every save: O(history) bytes per interval, however little changed.
-// The segment store replaces that with an append-only directory of
+// The retired FENRSNAP snapshot (io/snapshot.h) re-encoded and rewrote
+// the entire Φ stack on every save: O(history) bytes per interval,
+// however little changed. The segment store, now the only resume-state
+// format, replaces that with an append-only directory of
 // immutable *sealed* segments plus one *active tail* segment:
 //
 //   <dir>/MANIFEST            crash-atomic index (tmp + rename)
@@ -149,14 +150,14 @@ class SegmentStore {
   /// rolling interrupted lifecycle steps forward: truncates an
   /// over-long tail, salvages a torn one, completes a crashed seal
   /// rename, and collects unreferenced seg-*/tail-*/cmp-*/*.tmp.* files.
-  /// Throws DatasetIoError on a corrupt manifest.
+  /// Throws DatasetIoError on a corrupt manifest or when @p dir cannot
+  /// be created as a directory (e.g. a regular file is in the way).
   SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg);
   ~SegmentStore();
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// True iff @p path is a directory holding a segment-store MANIFEST —
-  /// how `--resume` / `--matrix-cache` auto-detect the format.
+  /// True iff @p path is a directory holding a segment-store MANIFEST.
   static bool looks_like_store(const std::filesystem::path& path);
 
   /// Converts a decoded FENRSNAP snapshot (which must carry a matrix)

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -13,8 +12,6 @@
 #include <sstream>
 
 #include "chaos/killpoint.h"
-#include "core/time.h"
-#include "io/csv.h"
 #include "io/wire.h"
 #include "obs/events.h"
 #include "obs/log.h"
@@ -38,9 +35,6 @@ using wire::put_u8;
 using wire::Reader;
 
 struct SnapMetrics {
-  obs::Counter& save_total;
-  obs::Counter& save_bytes;
-  obs::Gauge& save_seconds;
   obs::Counter& load_total;
   obs::Counter& load_bytes;
   obs::Gauge& load_seconds;
@@ -49,14 +43,8 @@ struct SnapMetrics {
 
 SnapMetrics& snap_metrics() {
   static SnapMetrics m{
-      obs::registry().counter("fenrir_snapshot_save_total",
-                              "snapshot / watch-state files written"),
-      obs::registry().counter("fenrir_snapshot_save_bytes_total",
-                              "bytes written to snapshot files"),
-      obs::registry().gauge("fenrir_snapshot_save_seconds",
-                            "wall time of the last snapshot save"),
       obs::registry().counter("fenrir_snapshot_load_total",
-                              "snapshot / watch-state files loaded"),
+                              "snapshot files loaded"),
       obs::registry().counter("fenrir_snapshot_load_bytes_total",
                               "bytes read from snapshot files"),
       obs::registry().gauge("fenrir_snapshot_load_seconds",
@@ -65,26 +53,6 @@ SnapMetrics& snap_metrics() {
           "fenrir_snapshot_corrupt_total",
           "snapshot loads rejected as corrupt, truncated, or version-skewed")};
   return m;
-}
-
-void publish_snapshot_fragment(const char* op,
-                               const std::filesystem::path& path,
-                               std::size_t bytes, double seconds,
-                               const Snapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"last_op\":\"" << op << "\",\"path\":\""
-     << obs::json_escape(path.string()) << "\",\"bytes\":" << bytes
-     << ",\"seconds\":" << obs::render_double(seconds)
-     << ",\"processed\":" << snapshot.processed << ",\"has_matrix\":"
-     << (snapshot.matrix.has_value() ? "true" : "false")
-     << ",\"modes\":" << snapshot.representatives.size() << "}";
-  obs::status_board().publish("snapshot", os.str());
-  obs::event_bus().emit(
-      obs::Severity::kDebug,
-      std::string_view(op) == "save" ? "snapshot_saved" : "snapshot_loaded",
-      "\"path\":\"" + obs::json_escape(path.string()) +
-          "\",\"bytes\":" + std::to_string(bytes) +
-          ",\"processed\":" + std::to_string(snapshot.processed));
 }
 
 }  // namespace
@@ -295,8 +263,8 @@ Snapshot decode_snapshot(std::string_view bytes, unsigned threads) {
   }
   if (bytes.size() < 12) {
     throw corrupt(
-        "snapshot: truncated — the file ends inside the header; re-create "
-        "it from the dataset");
+        "snapshot: truncated — the file ends inside the header; rebuild "
+        "the state from the dataset with watch --store");
   }
   Reader header{reinterpret_cast<const unsigned char*>(bytes.data()),
                 bytes.size(), sizeof(kSnapshotMagic)};
@@ -305,25 +273,24 @@ Snapshot decode_snapshot(std::string_view bytes, unsigned threads) {
     throw corrupt("snapshot: version skew — file is v" +
                   std::to_string(version) + " but this build reads v" +
                   std::to_string(kSnapshotVersion) +
-                  "; re-create the snapshot with this binary");
+                  "; rebuild the state from the dataset with watch --store");
   }
   if (bytes.size() < 20) {
     throw corrupt(
-        "snapshot: truncated — the file ends inside the header; re-create "
-        "it from the dataset");
+        "snapshot: truncated — the file ends inside the header; rebuild "
+        "the state from the dataset with watch --store");
   }
   const std::uint64_t recorded = header.get_u64();
   if (recorded > bytes.size()) {
     throw corrupt("snapshot: truncated — the file holds " +
                   std::to_string(bytes.size()) + " of a recorded " +
                   std::to_string(recorded) +
-                  " bytes; the tail is missing (interrupted copy or "
-                  "save?)");
+                  " bytes; the tail is missing (interrupted copy?)");
   }
   if (recorded < bytes.size()) {
     throw corrupt("snapshot: " + std::to_string(bytes.size() - recorded) +
                   " trailing bytes after the recorded length — the file "
-                  "was appended to or mixed with another; re-create it");
+                  "was appended to or mixed with another");
   }
   if (recorded < 44) {  // header + flags + CRC: the smallest valid file
     throw corrupt(
@@ -339,7 +306,8 @@ Snapshot decode_snapshot(std::string_view bytes, unsigned threads) {
     std::ostringstream os;
     os << "snapshot: checksum mismatch (stored " << std::hex << stored_crc
        << ", computed " << computed_crc
-       << ") — the file is corrupt; re-create it from the dataset";
+       << ") — the file is corrupt; rebuild the state from the dataset with "
+          "watch --store";
     throw corrupt(os.str());
   }
 
@@ -451,23 +419,6 @@ void atomic_write_file(const std::filesystem::path& path,
   }
 }
 
-void save_snapshot_file(const std::filesystem::path& path,
-                        const Snapshot& snapshot) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = encode_snapshot(snapshot);
-  atomic_write_file(path, bytes);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  SnapMetrics& m = snap_metrics();
-  m.save_total.inc();
-  m.save_bytes.inc(bytes.size());
-  m.save_seconds.set(seconds);
-  publish_snapshot_fragment("save", path, bytes.size(), seconds, snapshot);
-  FENRIR_LOG(Debug).field("path", path.string()).field("bytes", bytes.size())
-      << "snapshot saved";
-}
-
 Snapshot load_snapshot_file(const std::filesystem::path& path,
                             unsigned threads) {
   const auto start = std::chrono::steady_clock::now();
@@ -489,170 +440,22 @@ Snapshot load_snapshot_file(const std::filesystem::path& path,
   m.load_total.inc();
   m.load_bytes.inc(bytes.size());
   m.load_seconds.set(seconds);
-  publish_snapshot_fragment("load", path, bytes.size(), seconds, snapshot);
+  std::ostringstream os;
+  os << "{\"path\":\"" << obs::json_escape(path.string())
+     << "\",\"bytes\":" << bytes.size()
+     << ",\"seconds\":" << obs::render_double(seconds)
+     << ",\"processed\":" << snapshot.processed << ",\"has_matrix\":"
+     << (snapshot.matrix.has_value() ? "true" : "false")
+     << ",\"modes\":" << snapshot.representatives.size() << "}";
+  obs::status_board().publish("snapshot", os.str());
+  obs::event_bus().emit(obs::Severity::kDebug, "snapshot_loaded",
+                        "\"path\":\"" + obs::json_escape(path.string()) +
+                            "\",\"bytes\":" + std::to_string(bytes.size()) +
+                            ",\"processed\":" +
+                            std::to_string(snapshot.processed));
   FENRIR_LOG(Debug).field("path", path.string()).field("bytes", bytes.size())
       << "snapshot loaded";
   return snapshot;
-}
-
-// --- watch state ---------------------------------------------------------
-
-namespace {
-
-constexpr const char* kWatchStateMagic = "#fenrir-watchstate";
-constexpr const char* kWatchStateVersion = "v1";
-
-core::TimePoint parse_time_or_throw(const std::string& text) {
-  const auto t = core::parse_time(text);
-  if (!t) {
-    throw DatasetIoError("watch state: cannot parse time '" + text + "'");
-  }
-  return *t;
-}
-
-/// The legacy CSV reader, verbatim semantics from the v1 fenrirctl:
-/// site names re-intern, so the state survives dataset growth without a
-/// hash. Returns a matrix-less Snapshot; the caller rebuilds the matrix
-/// and the next save writes v2.
-Snapshot load_watch_state_v1(core::Dataset& data, const std::string& text,
-                             const std::filesystem::path& path) {
-  const auto rows = parse_csv(text);
-  if (rows.size() < 3 || rows[0].size() < 2 ||
-      rows[0][0] != kWatchStateMagic) {
-    throw DatasetIoError("not a watch state file (bad magic): " +
-                         path.string());
-  }
-  if (rows[0][1] != kWatchStateVersion) {
-    throw DatasetIoError("unsupported watch state version " + rows[0][1]);
-  }
-  if (rows[1].size() != 2 || rows[1][0] != "processed") {
-    throw DatasetIoError("watch state: malformed processed row");
-  }
-  Snapshot snapshot;
-  snapshot.processed = std::stoul(rows[1][1]);
-  snapshot.has_modebook = true;
-  if (rows[2].empty() || rows[2][0] != "history") {
-    throw DatasetIoError("watch state: malformed history row");
-  }
-  for (std::size_t i = 1; i < rows[2].size(); ++i) {
-    snapshot.history.push_back(std::stoul(rows[2][i]));
-  }
-  for (std::size_t r = 3; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    if (row.size() < 2 || row[0] != "mode") {
-      throw DatasetIoError("watch state: malformed mode row");
-    }
-    if (row.size() - 2 != data.networks.size()) {
-      throw DatasetIoError(
-          "watch state disagrees with the dataset: representative has " +
-          std::to_string(row.size() - 2) + " networks, dataset has " +
-          std::to_string(data.networks.size()));
-    }
-    core::RoutingVector rep;
-    rep.time = parse_time_or_throw(row[1]);
-    rep.assignment.reserve(row.size() - 2);
-    for (std::size_t i = 2; i < row.size(); ++i) {
-      rep.assignment.push_back(data.sites.intern(row[i]));
-    }
-    snapshot.representatives.push_back(std::move(rep));
-  }
-  return snapshot;
-}
-
-}  // namespace
-
-Snapshot load_watch_state(core::Dataset& dataset,
-                          const std::filesystem::path& path,
-                          unsigned threads) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw DatasetIoError("cannot open " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = std::move(buffer).str();
-  Snapshot snapshot;
-  if (bytes.size() >= sizeof(kSnapshotMagic) &&
-      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) ==
-          0) {
-    const auto start = std::chrono::steady_clock::now();
-    snapshot = decode_snapshot(bytes, threads);
-    if (snapshot.processed > dataset.series.size()) {
-      throw DatasetIoError(
-          "watch state is ahead of the dataset (" +
-          std::to_string(snapshot.processed) + " processed, " +
-          std::to_string(dataset.series.size()) +
-          " observations on disk) — did the dataset shrink?");
-    }
-    const std::uint64_t expected =
-        dataset_prefix_hash(dataset, snapshot.processed);
-    if (expected != snapshot.prefix_hash) {
-      throw DatasetIoError(
-          "watch state disagrees with the dataset: the first " +
-          std::to_string(snapshot.processed) +
-          " observations are not the ones this state was saved from "
-          "(prefix hash mismatch) — delete the state file to start over");
-    }
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    SnapMetrics& m = snap_metrics();
-    m.load_total.inc();
-    m.load_bytes.inc(bytes.size());
-    m.load_seconds.set(seconds);
-    publish_snapshot_fragment("load", path, bytes.size(), seconds, snapshot);
-  } else {
-    snapshot = load_watch_state_v1(dataset, bytes, path);
-    if (snapshot.processed > dataset.series.size()) {
-      throw DatasetIoError(
-          "watch state is ahead of the dataset (" +
-          std::to_string(snapshot.processed) + " processed, " +
-          std::to_string(dataset.series.size()) +
-          " observations on disk) — did the dataset shrink?");
-    }
-  }
-  return snapshot;
-}
-
-void save_watch_state(const core::Dataset& dataset,
-                      const core::ModeBook& book, std::size_t processed,
-                      const core::SimilarityMatrix* matrix,
-                      const std::filesystem::path& path) {
-  Snapshot snapshot;
-  snapshot.processed = processed;
-  snapshot.prefix_hash = dataset_prefix_hash(dataset, processed);
-  snapshot.has_modebook = true;
-  snapshot.representatives.reserve(book.mode_count());
-  for (std::size_t m = 0; m < book.mode_count(); ++m) {
-    snapshot.representatives.push_back(book.representative(m));
-  }
-  snapshot.history = book.history();
-  if (matrix != nullptr) snapshot.matrix = *matrix;  // copy: caller keeps it
-  save_snapshot_file(path, snapshot);
-}
-
-void save_watch_state_v1(const core::Dataset& dataset,
-                         const core::ModeBook& book, std::size_t processed,
-                         const std::filesystem::path& path) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.row(kWatchStateMagic, kWatchStateVersion);
-  csv.row("processed", processed);
-  {
-    std::vector<std::string> row{"history"};
-    for (const std::size_t m : book.history()) {
-      row.push_back(std::to_string(m));
-    }
-    csv.write_row(row);
-  }
-  for (std::size_t m = 0; m < book.mode_count(); ++m) {
-    const core::RoutingVector& rep = book.representative(m);
-    std::vector<std::string> row{"mode", core::format_time(rep.time)};
-    row.reserve(rep.assignment.size() + 2);
-    for (const core::SiteId s : rep.assignment) {
-      row.push_back(dataset.sites.name(s));
-    }
-    csv.write_row(row);
-  }
-  atomic_write_file(path, out.str());
 }
 
 }  // namespace fenrir::io

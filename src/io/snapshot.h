@@ -1,17 +1,19 @@
-// fenrir::io — versioned, checksummed binary snapshots of the Φ stack.
+// fenrir::io — FENRSNAP v2, the single-file Φ-stack snapshot, read only
+// to migrate it.
 //
-// Recurrence makes the archive a cache: a SimilarityMatrix over T
-// observations took O(T²·N) to build, but on disk it is just bytes —
-// packed rows at their native width, the lower Φ triangle, the anchors'
-// cached counts, and the ModeBook's representatives. A snapshot loads in
-// O(bytes), so `fenrirctl watch --resume` and `analyze --matrix-cache`
-// continue a long series instead of recomputing it.
+// No command writes these files; the FENRSEG segment store
+// (io/segment_store.h) is the one live resume format. `fenrirctl
+// segment import` reads a snapshot (load_snapshot_file) and converts it
+// into a sealed store whose identity is the snapshot's prefix hash
+// (dataset_prefix_hash). encode_snapshot is the reference encoder the
+// decoder's tests round-trip against. Legacy v1 CSV watch states are
+// not read.
 //
 // Wire format (all integers little-endian; doubles as IEEE-754 bit
 // patterns in a u64):
 //
 //   magic   8 bytes  "FENRSNAP"
-//   u32     version  (2 — v1 is the legacy CSV watch state, no magic)
+//   u32     version  (2)
 //   u64     total file length in bytes, including this header and the
 //            checksum trailer (truncation check)
 //   u64     dataset prefix hash (dataset_prefix_hash over `processed`)
@@ -47,9 +49,9 @@
 // snapshot are only meaningful against the dataset they came from; the
 // prefix hash is how a loader proves it is looking at the same one.
 //
-// Files are written atomically: bytes go to a temp file in the target
-// directory, fsync, then rename over the destination — a kill mid-save
-// (chaos/killpoint.h schedules one) leaves the previous state intact.
+// atomic_write_file is the crash-atomic write (temp file, fsync,
+// rename) the segment store's MANIFEST goes through; a kill mid-save
+// (chaos/killpoint.h schedules one) leaves the previous file intact.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +73,7 @@ inline constexpr char kSnapshotMagic[8] = {'F', 'E', 'N', 'R',
                                            'S', 'N', 'A', 'P'};
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-/// Everything a resumed session needs. `processed` counts dataset
+/// Everything a FENRSNAP file holds. `processed` counts dataset
 /// observations (valid and invalid) already consumed; the matrix, when
 /// present, has exactly that many rows.
 struct Snapshot {
@@ -106,36 +108,10 @@ Snapshot decode_snapshot(std::string_view bytes, unsigned threads = 1);
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view bytes);
 
-/// encode + atomic write, with fenrir_snapshot_save_* metrics and a
-/// "snapshot" StatusBoard fragment.
-void save_snapshot_file(const std::filesystem::path& path,
-                        const Snapshot& snapshot);
-
 /// read + decode, with fenrir_snapshot_load_* metrics and a "snapshot"
 /// StatusBoard fragment. Throws DatasetIoError (unreadable file, or any
 /// decode failure).
 Snapshot load_snapshot_file(const std::filesystem::path& path,
                             unsigned threads = 1);
-
-/// Loads a `fenrirctl watch` state file — v2 binary snapshot (verified
-/// against @p dataset via the prefix hash) or legacy v1 CSV (site names
-/// re-interned into @p dataset, no matrix; the caller rebuilds one and
-/// the next save upgrades the file to v2).
-Snapshot load_watch_state(core::Dataset& dataset,
-                          const std::filesystem::path& path,
-                          unsigned threads = 1);
-
-/// Saves a watch session as a v2 snapshot (atomic). @p matrix may be
-/// null when the session kept none.
-void save_watch_state(const core::Dataset& dataset,
-                      const core::ModeBook& book, std::size_t processed,
-                      const core::SimilarityMatrix* matrix,
-                      const std::filesystem::path& path);
-
-/// The legacy v1 CSV writer, kept so tests can prove a v1 state resumes
-/// identically to v2. Atomic like every other state write.
-void save_watch_state_v1(const core::Dataset& dataset,
-                         const core::ModeBook& book, std::size_t processed,
-                         const std::filesystem::path& path);
 
 }  // namespace fenrir::io

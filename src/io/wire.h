@@ -1,7 +1,8 @@
 // fenrir::io — shared little-endian wire primitives.
 //
-// The FENRSNAP snapshot (io/snapshot.h) and the FENRSEG1 segment store
-// (io/segment_store.h) speak the same byte dialect: integers
+// The FENRSEG1 segment store (io/segment_store.h) and the read-only
+// FENRSNAP snapshot decoder that `segment import` migrates from
+// (io/snapshot.h) speak the same byte dialect: integers
 // little-endian, doubles as IEEE-754 bit patterns in a u64, bulk word
 // arrays appended in one memcpy on little-endian hosts, and the same
 // 4-lane multiply–rotate payload checksum. This header is that dialect,

@@ -126,6 +126,11 @@ void Histogram::observe(double x) noexcept {
       old, std::bit_cast<std::uint64_t>(std::bit_cast<double>(old) + x),
       std::memory_order_relaxed)) {
   }
+  old = max_bits_.load(std::memory_order_relaxed);
+  while (x > std::bit_cast<double>(old) &&
+         !max_bits_.compare_exchange_weak(old, std::bit_cast<std::uint64_t>(x),
+                                          std::memory_order_relaxed)) {
+  }
 }
 
 double Histogram::quantile(double q) const noexcept {
@@ -133,13 +138,12 @@ double Histogram::quantile(double q) const noexcept {
   if (n == 0) return 0.0;
   const double rank = q * static_cast<double>(n);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+  std::size_t i = 0;
+  for (; i < bounds_.size(); ++i) {
     cumulative += bucket_count(i);
-    if (static_cast<double>(cumulative) >= rank) {
-      return i < bounds_.size() ? bounds_[i] : bounds_.back();
-    }
+    if (static_cast<double>(cumulative) >= rank) break;
   }
-  return bounds_.back();
+  return std::min(i < bounds_.size() ? bounds_[i] : bounds_.back(), max());
 }
 
 std::vector<double> Histogram::duration_bounds() {
@@ -159,6 +163,9 @@ void Histogram::reset() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_bits_.store(std::bit_cast<std::uint64_t>(0.0),
                   std::memory_order_relaxed);
+  max_bits_.store(
+      std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity()),
+      std::memory_order_relaxed);
 }
 
 Registry::Entry& Registry::find_or_create(std::string_view name,

@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,7 +91,8 @@ class Gauge {
 /// upper bounds plus an implicit +Inf bucket. Used for latencies; spans
 /// record seconds into one (see span.h). Quantiles are bucket-resolution
 /// estimates (the upper bound of the bucket the quantile falls in),
-/// which is what Prometheus' histogram_quantile computes too.
+/// clamped to the largest sample so a lone 0.143 s span reports p50 =
+/// 0.143 s, not its bucket's 0.25 s.
 class Histogram {
  public:
   /// @p upper_bounds must be strictly increasing and non-empty.
@@ -104,9 +106,15 @@ class Histogram {
   double sum() const noexcept {
     return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
   }
-  /// Estimated quantile, q in [0,1]. Returns 0 when empty; the last
-  /// finite bound when the quantile lands in the +Inf bucket.
+  /// Estimated quantile, q in [0,1]: the upper bound of the bucket the
+  /// rank lands in (the last finite bound for the +Inf bucket), clamped
+  /// to the largest observed sample so no quantile exceeds what was
+  /// seen. Returns 0 when empty.
   double quantile(double q) const noexcept;
+  /// Largest observed sample (-inf when empty).
+  double max() const noexcept {
+    return std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
+  }
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Count in bucket i (i == bounds().size() is the +Inf bucket).
@@ -125,6 +133,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{std::bit_cast<std::uint64_t>(0.0)};
+  std::atomic<std::uint64_t> max_bits_{
+      std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity())};
 };
 
 /// An ordered label set, e.g. {{"git_sha","9f61d0f"},{"build","Release"}}.

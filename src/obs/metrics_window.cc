@@ -94,7 +94,9 @@ void MetricsHistory::track_histogram(std::string_view name,
   t.histogram = &registry().histogram(name, std::move(upper_bounds));
   t.name.assign(name);
   const std::string family = t.name + "_quantile";
-  const char* help = "histogram quantile estimate (bucket upper bound)";
+  const char* help =
+      "histogram quantile estimate (bucket upper bound, at most the "
+      "largest sample)";
   t.p50 = &registry().gauge(family, Labels{{"q", "0.5"}}, help);
   t.p90 = &registry().gauge(family, Labels{{"q", "0.9"}}, help);
   t.p99 = &registry().gauge(family, Labels{{"q", "0.99"}}, help);

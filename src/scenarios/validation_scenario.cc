@@ -69,6 +69,12 @@ ValidationScenario make_validation(const ValidationConfig& config) {
     std::uint32_t asn = 64700;
     for (const auto& [sa, sb] : pairs) {
       if (flips.size() >= flips_needed) break;
+      // Sites homed under one provider cannot carry a cone between them
+      // (add_shiftable_cone refuses the pair); try the next pair.
+      if (first_provider(graph, origin_of_site[sa]) ==
+          first_provider(graph, origin_of_site[sb])) {
+        continue;
+      }
       if (const auto cone =
               add_shiftable_cone(world, origin_of_site[sa],
                                  origin_of_site[sb], 0.045, asn++, rng,

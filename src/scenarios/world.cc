@@ -98,16 +98,12 @@ std::vector<PolicyFlip> find_effective_flips(
   return out;
 }
 
-namespace {
-
 bgp::AsIndex first_provider(const bgp::AsGraph& graph, bgp::AsIndex as) {
   for (const auto& l : graph.node(as).links) {
     if (l.relation == bgp::Relation::kProvider && l.up) return l.neighbor;
   }
   throw std::invalid_argument("add_shiftable_cone: origin has no provider");
 }
-
-}  // namespace
 
 std::optional<ShiftableCone> add_shiftable_cone(
     World& world, bgp::AsIndex origin_a, bgp::AsIndex origin_b,

@@ -99,6 +99,10 @@ std::vector<PolicyFlip> find_effective_flips(
     double min_shift, double max_shift, rng::Rng& rng, std::size_t count,
     std::size_t max_candidates = 600);
 
+/// The first up provider of @p as — the upstream add_shiftable_cone
+/// multihomes its aggregator to. Throws std::invalid_argument if none.
+bgp::AsIndex first_provider(const bgp::AsGraph& graph, bgp::AsIndex as);
+
 /// A constructed third-party change with a guaranteed effect: a transit
 /// ("aggregator") AS multihomed to the first providers of two service
 /// origins, carrying a cone of re-homed stubs. Because a provider of an
@@ -117,7 +121,8 @@ struct ShiftableCone {
 /// Builds a shiftable cone between the sites hosted at @p origin_a and
 /// @p origin_b, re-homing ~@p stub_fraction of the topology's stubs onto
 /// the aggregator (they keep their existing providers; the new link is
-/// preferred). @p asn must be unused. Throws if an origin has no provider.
+/// preferred). @p asn must be unused. Throws std::invalid_argument if an
+/// origin has no provider or both origins share their first_provider.
 ///
 /// When @p verify_origins is given, the cone is checked for effectiveness
 /// first: the aggregator's catchment under those anycast origins must

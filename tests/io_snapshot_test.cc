@@ -13,6 +13,7 @@
 #include "core/dataset_io.h"
 #include "core/distance_matrix.h"
 #include "core/modebook.h"
+#include "io/segment_store.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -179,44 +180,6 @@ TEST(SnapshotRoundTrip, FourByteWidthSurvives) {
   expect_bit_identical(*in.matrix, continuous, "width 4");
 }
 
-// Resuming a ModeBook from a v2 state and from a legacy v1 CSV must
-// classify the remaining observations identically to a book that never
-// stopped.
-TEST(SnapshotWatchState, V1AndV2ResumeIdenticallyToContinuous) {
-  ScratchDir dir("v1v2");
-  Dataset d = periodic_dataset(40, 120, 6, 0.02, 7);
-  ModeBook::Config cfg;
-  cfg.match_threshold = 0.8;
-
-  ModeBook continuous(cfg);
-  for (const RoutingVector& v : d.series) continuous.observe(v);
-
-  ModeBook prefix(cfg);
-  for (std::size_t t = 0; t < 25; ++t) prefix.observe(d.series[t]);
-  const fs::path v2 = dir.path / "state.bin";
-  const fs::path v1 = dir.path / "state.csv";
-  save_watch_state(d, prefix, 25, nullptr, v2);
-  save_watch_state_v1(d, prefix, 25, v1);
-
-  for (const fs::path& path : {v2, v1}) {
-    Snapshot state = load_watch_state(d, path);
-    EXPECT_EQ(state.processed, 25u) << path;
-    ModeBook resumed(cfg);
-    resumed.restore(std::move(state.representatives),
-                    std::move(state.history));
-    for (std::size_t t = 25; t < d.series.size(); ++t) {
-      resumed.observe(d.series[t]);
-    }
-    ASSERT_EQ(resumed.mode_count(), continuous.mode_count()) << path;
-    EXPECT_EQ(resumed.history(), continuous.history()) << path;
-    for (std::size_t m = 0; m < continuous.mode_count(); ++m) {
-      EXPECT_EQ(resumed.representative(m).assignment,
-                continuous.representative(m).assignment)
-          << path << " mode " << m;
-    }
-  }
-}
-
 /// Decodes corrupted bytes and returns the diagnostic.
 std::string decode_error(std::string bytes) {
   try {
@@ -269,21 +232,38 @@ TEST(SnapshotCorruption, CorruptionsCountInMetrics) {
   EXPECT_GT(corrupt.value(), before);
 }
 
-// A state file must disagree loudly when the dataset underneath it
-// changed: shrunk (processed runs past the end) or rewritten (prefix
-// hash mismatch).
+// A watch state migrated through `segment import` must disagree loudly
+// when the dataset underneath it changed: shrunk (processed runs past
+// the end) or rewritten (prefix hash mismatch).
 TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
   ScratchDir dir("mismatch");
   Dataset d = periodic_dataset(20, 100, 6, 0.02, 5);
   ModeBook book;
-  for (const RoutingVector& v : d.series) book.observe(v);
+  SimilarityMatrix m(ModeBook::Config{}.policy, d.weights, 1);
+  for (const RoutingVector& v : d.series) {
+    book.observe(v);
+    m.append(v);
+  }
+  Snapshot state;
+  state.processed = d.series.size();
+  state.prefix_hash = dataset_prefix_hash(d, d.series.size());
+  state.matrix = std::move(m);
+  state.has_modebook = true;
+  for (std::size_t k = 0; k < book.mode_count(); ++k) {
+    state.representatives.push_back(book.representative(k));
+  }
+  state.history = book.history();
   const fs::path path = dir.path / "state.bin";
-  save_watch_state(d, book, d.series.size(), nullptr, path);
+  atomic_write_file(path, encode_snapshot(state));
+  SegmentStore::import_snapshot(load_snapshot_file(path), dir.path / "store",
+                                SegmentStoreConfig{});
+  const SegmentStore store(dir.path / "store", SegmentStoreConfig{});
+  EXPECT_EQ(store.load(&d).history, book.history());
 
   Dataset shrunk = d;
   shrunk.series.resize(10);
   try {
-    (void)load_watch_state(shrunk, path);
+    (void)store.load(&shrunk);
     FAIL() << "shrunk dataset accepted";
   } catch (const DatasetIoError& e) {
     EXPECT_NE(std::string(e.what()).find("ahead of the dataset"),
@@ -297,7 +277,7 @@ TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
           ? kFirstRealSite
           : kUnknownSite;
   try {
-    (void)load_watch_state(rewritten, path);
+    (void)store.load(&rewritten);
     FAIL() << "rewritten dataset accepted";
   } catch (const DatasetIoError& e) {
     EXPECT_NE(std::string(e.what()).find("prefix hash mismatch"),
@@ -319,9 +299,10 @@ TEST(SnapshotHash, PrefixHashIsPrefixStable) {
   EXPECT_NE(dataset_prefix_hash(reweighted, 12), h);
 }
 
-// Satellite 1: a kill in the middle of a save (chaos killpoint) must
-// leave the previous file byte-for-byte intact — the temp-file + rename
-// protocol never exposes a half-written state.
+// A kill in the middle of an atomic write (chaos killpoint) must leave
+// the previous file byte-for-byte intact — the temp-file + rename
+// protocol the segment store's MANIFEST relies on never exposes a
+// half-written file.
 TEST(SnapshotAtomicityDeathTest, KillMidSaveLeavesOldFileIntact) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ScratchDir dir("kill");
@@ -334,7 +315,8 @@ TEST(SnapshotAtomicityDeathTest, KillMidSaveLeavesOldFileIntact) {
   snap.processed = d.series.size();
   snap.prefix_hash = dataset_prefix_hash(d, d.series.size());
   snap.matrix = std::move(m);
-  save_snapshot_file(path, snap);
+  const std::string bytes = encode_snapshot(snap);
+  atomic_write_file(path, bytes);
 
   std::string before;
   {
@@ -348,7 +330,7 @@ TEST(SnapshotAtomicityDeathTest, KillMidSaveLeavesOldFileIntact) {
   EXPECT_EXIT(
       {
         ::setenv("FENRIR_CHAOS_KILL_SAVE", "16", 1);
-        save_snapshot_file(path, snap);
+        atomic_write_file(path, bytes);
       },
       ::testing::ExitedWithCode(137), "");
 

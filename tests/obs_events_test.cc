@@ -390,7 +390,8 @@ TEST(MetricsWindow, HistogramQuantileGaugesTrackTheTail) {
   h.reset();
   history.track_histogram("fenrir_mw_test_seconds",
                           {0.001, 0.01, 0.1, 1.0});
-  // 90 fast, 10 slow: p50 lands in the first bucket, p99 in the last.
+  // 90 fast, 10 slow: p50 lands in the first bucket, p99 in the last —
+  // reported as the slowest sample, not the bucket's 1.0 upper bound.
   for (int i = 0; i < 90; ++i) h.observe(0.0005);
   for (int i = 0; i < 10; ++i) h.observe(0.5);
   ASSERT_TRUE(history.sample());
@@ -404,10 +405,10 @@ TEST(MetricsWindow, HistogramQuantileGaugesTrackTheTail) {
                        .gauge("fenrir_mw_test_seconds_quantile",
                               Labels{{"q", "0.99"}})
                        .value(),
-                   1.0);
+                   0.5);
   std::ostringstream os;
   history.write_json(os);
-  EXPECT_NE(os.str().find("\"fenrir_mw_test_seconds_p99\":1"),
+  EXPECT_NE(os.str().find("\"fenrir_mw_test_seconds_p99\":0.5"),
             std::string::npos);
   EXPECT_NE(os.str().find("\"fenrir_mw_test_seconds_count\":100"),
             std::string::npos);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <regex>
 #include <sstream>
 #include <thread>
@@ -171,6 +172,23 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(h.quantile(1.00), 100.0);  // +Inf clamps to last bound
   EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
   EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::invalid_argument);
+}
+
+// A bucket's upper bound overstates a lone sample: one 0.143 s span
+// used to report p50 = 0.25 s. Quantiles clamp to the largest sample.
+TEST(Metrics, HistogramQuantilesNeverExceedTheLargestSample) {
+  obs::Histogram h(obs::Histogram::duration_bounds());
+  h.observe(0.143);
+  EXPECT_EQ(h.max(), 0.143);
+  EXPECT_EQ(h.quantile(0.50), 0.143);
+  EXPECT_EQ(h.quantile(0.95), 0.143);
+  h.observe(0.001);
+  EXPECT_EQ(h.quantile(0.50), 0.001);  // bucket bound, below the max
+  EXPECT_EQ(h.quantile(1.00), 0.143);
+  h.reset();
+  EXPECT_EQ(h.quantile(0.50), 0.0);
+  h.observe(0.002);
+  EXPECT_EQ(h.quantile(0.50), 0.002);  // reset forgot the old max
 }
 
 TEST(Metrics, RegistryIdentityAndKindMismatch) {
@@ -408,6 +426,20 @@ TEST(Span, NestingAndAggregation) {
   EXPECT_EQ(entries[2].depth, 1);
   EXPECT_EQ(entries[2].count, 3u);
   EXPECT_GE(entries[0].total_seconds, 0.0);
+}
+
+TEST(Span, ProfileQuantilesNeverExceedTotal) {
+  ObsGuard guard;
+  obs::set_profiling(true);
+  {
+    obs::Span span("once");
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  const auto entries = obs::profile_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_GT(entries[0].total_seconds, 0.0);
+  EXPECT_EQ(entries[0].p50_seconds, entries[0].total_seconds);
+  EXPECT_EQ(entries[0].p95_seconds, entries[0].total_seconds);
 }
 
 TEST(Span, SlashPathsOpenHierarchy) {

@@ -109,5 +109,24 @@ TEST_F(ValidationScenarioTest, NoSpuriousDetectionsInQuietStretches) {
   }
 }
 
+// At these offsets from the default seed the shuffled site pairs reach
+// two sites homed under one provider before enough cones are found.
+// make_validation used to die there on add_shiftable_cone's refusal; it
+// must skip the pair and still find every requested flip.
+TEST(ValidationScenarioSeeds, SharedProviderPairsAreSkipped) {
+  for (const std::uint64_t offset : {8, 9, 18, 20, 23, 31, 36, 39}) {
+    ValidationConfig cfg = test_config();
+    cfg.vp_count = 20;
+    cfg.weeks = 1;
+    cfg.drain_groups = 2;
+    cfg.internal_groups = 4;
+    cfg.seed = ValidationConfig{}.seed + offset;
+    ValidationScenario s;
+    ASSERT_NO_THROW(s = make_validation(cfg)) << "seed offset " << offset;
+    EXPECT_EQ(s.third_party_events, 5u) << "seed offset " << offset;
+    EXPECT_FALSE(s.dataset.series.empty()) << "seed offset " << offset;
+  }
+}
+
 }  // namespace
 }  // namespace fenrir::scenarios

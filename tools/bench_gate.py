@@ -17,9 +17,9 @@ ratio the same way and cancels; a single regressing kernel stands out
 against the fleet.
 
 Only the recurrence hot path is gated (BM_Gower*, BM_SimilarityMatrix*
-including the Periodic anchored-vs-predecessor pair, BM_ModeBook*, the
-BM_Snapshot* load/recompute pair, BM_FederatedSweep — the federated
-merge fold — and the segment-store BM_Segment*/BM_Compaction path):
+including the Periodic anchored-vs-predecessor pair, BM_ModeBook*,
+BM_FederatedSweep — the federated merge fold — and the segment-store
+BM_Segment*/BM_Compaction path, which is also the resume path):
 they are the paper-relevant fast path and run long enough to be stable
 at --benchmark_min_time=0.01s. The other benches are reported in the
 table but never fail the gate.
@@ -42,12 +42,11 @@ import json
 import sys
 
 # Gated benches: the Φ kernel hot path, the ModeBook classifier, the
-# snapshot resume pair, and the federated merge fold. Everything else is
-# informational.
+# federated merge fold, and the segment store (save and resume).
+# Everything else is informational.
 GATED_PREFIXES = ("bench_core_BM_Gower", "bench_core_BM_SimilarityMatrix",
-                  "bench_core_BM_ModeBook", "bench_core_BM_Snapshot",
-                  "bench_core_BM_FederatedSweep", "bench_core_BM_Segment",
-                  "bench_core_BM_Compaction")
+                  "bench_core_BM_ModeBook", "bench_core_BM_FederatedSweep",
+                  "bench_core_BM_Segment", "bench_core_BM_Compaction")
 SUFFIX = "_real_ns"
 
 # The decision-lineage overhead budget: recording every verdict into the

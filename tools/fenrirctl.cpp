@@ -50,11 +50,13 @@
 //   fenrirctl segment verify DIR          re-read every segment, check
 //                                         structure + checksums; corrupt
 //                                         stores exit 3
-//   fenrirctl segment import F.bin DIR    convert a FENRSNAP v2 snapshot
-//                                         into a sealed segment store at
-//                                         DIR (loads bit-identically;
-//                                         identity falls back to the
-//                                         snapshot's prefix hash)
+//   fenrirctl segment import F.bin DIR    migrate a retired FENRSNAP v2
+//                                         snapshot file into a sealed
+//                                         segment store at DIR (loads
+//                                         bit-identically; identity
+//                                         falls back to the snapshot's
+//                                         prefix hash). Legacy v1 CSV
+//                                         watch states are not read
 //   fenrirctl --version                   build identity (version, git
 //                                         sha, build type, sanitizers)
 //
@@ -66,38 +68,29 @@
 //   --heatmap-csv FILE    write the full phi matrix as CSV
 //   --stack FILE.csv      write the per-site stack series
 //   --ascii               print an ASCII heatmap
-//   --matrix-cache PATH   reuse PATH as the phi matrix cache: a file is
-//                         an io/snapshot.h binary snapshot (the legacy
-//                         format, rewritten whole every run); a
-//                         directory is a FENRSEG segment store
-//                         (io/segment_store.h) — mmap-loaded, appended
-//                         incrementally, O(new rows) written back.
-//                         Either way only the new rows are appended and
-//                         stale caches are recomputed with a warning;
+//   --matrix-cache DIR    keep the phi matrix in the FENRSEG segment
+//                         store DIR (io/segment_store.h; created if
+//                         missing): cached rows are mmap-loaded, only
+//                         the new rows are appended and written back.
+//                         Stale caches are recomputed with a warning;
 //                         corrupt ones are exit code 3. Output is
-//                         byte-identical either way — every matrix path
-//                         is.
+//                         byte-identical to a run without the cache
 //
 // watch options:
 //   --threshold X         mode match threshold (default 0.85)
 //   --pessimistic         pessimistic unknown policy (default known-only)
 //   --adapt               representatives follow the latest member
-//   --resume PATH         restore the session from PATH (if it exists),
-//                         process only new observations, write the state
-//                         back — a long-lived watch across restarts.
-//                         A file is a v2 binary snapshot carrying the
-//                         mode book AND the phi matrix (loads in
-//                         O(bytes)); legacy v1 CSV states still load
-//                         (the matrix is rebuilt once) and upgrade to
-//                         v2 on the next save. A directory is a FENRSEG
-//                         segment store (same as --store)
-//   --store DIR           spill-as-you-go segment store: each processed
-//                         observation is appended to DIR as one record
-//                         (O(new rows) per save interval, never the
-//                         history), sealed segments are mmap-adopted on
-//                         resume (flat warm-start), cold runs compact in
-//                         the background. The long-running form of
-//                         --resume
+//   --store DIR           keep the session in the FENRSEG segment store
+//                         DIR (created if missing) — a long-lived watch
+//                         across restarts. A rerun resumes from DIR and
+//                         processes only new observations. Each one is
+//                         appended to DIR as one record (O(new rows) per
+//                         save interval, never the history); sealed
+//                         segments are mmap-adopted on resume (flat
+//                         warm-start); cold runs compact in the
+//                         background. An old FENRSNAP state file is
+//                         refused (exit 3): migrate it with `segment
+//                         import`
 //   --seal-rows N         records per tail segment before seal + rotate
 //                         (default 256)
 //   --retain-days X       retire sealed segments whose newest observation
@@ -181,8 +174,10 @@
 //                         crash with `fenrirctl blackbox dump FILE`
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -194,6 +189,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/cleaning.h"
@@ -238,6 +234,12 @@ int usage() {
   return 2;
 }
 
+/// A malformed command line: a flag without its value, or a value that
+/// does not parse. main() reports it as exit 2, like usage().
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 std::atomic<bool> g_shutdown{false};
 
 void handle_shutdown_signal(int) { g_shutdown.store(true); }
@@ -268,7 +270,7 @@ Args parse_args(int argc, char** argv, int first) {
            flag == "--heatmap" || flag == "--heatmap-csv" ||
            flag == "--stack" || flag == "--limit" || flag == "--micro" ||
            flag == "--log-level" || flag == "--metrics" ||
-           flag == "--resume" || flag == "--matrix-cache" ||
+           flag == "--matrix-cache" ||
            flag == "--trace-out" || flag == "--status-port" ||
            flag == "--status-port-file" || flag == "--journal" ||
            flag == "--events-out" || flag == "--port" ||
@@ -286,7 +288,7 @@ Args parse_args(int argc, char** argv, int first) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       if (takes_value(a)) {
-        if (i + 1 >= argc) throw std::runtime_error(a + " needs a value");
+        if (i + 1 >= argc) throw UsageError(a + " needs a value");
         out.options.emplace_back(a, argv[++i]);
       } else {
         out.options.emplace_back(a, "");
@@ -298,27 +300,64 @@ Args parse_args(int argc, char** argv, int first) {
   return out;
 }
 
+/// The value of numeric @p flag, or @p fallback when absent. The whole
+/// value must parse as a T (so "-1" is no count); anything else is a
+/// UsageError naming the flag.
+template <typename T>
+T parse_flag(const Args& args, const std::string& flag, T fallback) {
+  const std::string text = args.get(flag, "");
+  if (text.empty()) return fallback;
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw UsageError("bad " + flag + " '" + text + "' (want a " +
+                     (std::is_integral_v<T> ? "count" : "number") + ")");
+  }
+  return value;
+}
+
+/// A count flag within [lo, hi].
+std::size_t parse_count(const Args& args, const std::string& flag,
+                        std::size_t fallback, std::size_t lo = 0,
+                        std::size_t hi = SIZE_MAX) {
+  const std::size_t value = parse_flag(args, flag, fallback);
+  if (value < lo || value > hi) {
+    throw UsageError(flag + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return value;
+}
+
 /// Store tuning shared by watch --store, analyze --matrix-cache DIR, and
 /// the segment subcommands. --retain-days is observation time, so a
 /// fractional value is fine and retention stays deterministic.
 io::SegmentStoreConfig segment_config(const Args& args) {
   io::SegmentStoreConfig cfg;
-  cfg.seal_rows =
-      static_cast<std::size_t>(std::stoul(args.get("--seal-rows", "256")));
-  cfg.retain_obs = std::stoull(args.get("--retain-obs", "0"));
+  cfg.seal_rows = parse_count(args, "--seal-rows", 256);
+  cfg.retain_obs = parse_count(args, "--retain-obs", 0);
   cfg.retain_seconds = static_cast<std::int64_t>(
-      std::stod(args.get("--retain-days", "0")) *
+      parse_flag(args, "--retain-days", 0.0) *
       static_cast<double>(core::kDay));
   cfg.threads = 0;
   return cfg;
 }
 
-/// A --resume/--matrix-cache PATH that is a directory means the FENRSEG
-/// segment store format (an existing store, or a directory to start one
-/// in); a file or nonexistent path means the legacy snapshot.
-bool path_is_store(const std::string& path) {
-  return io::SegmentStore::looks_like_store(path) ||
-         std::filesystem::is_directory(path);
+/// A --store / --matrix-cache DIR is always a FENRSEG segment store
+/// (the constructor creates a missing one). A FENRSNAP file there is the
+/// retired single-file format: refuse it as an I/O error (exit 3) that
+/// names its migration path instead of failing on the directory create.
+void reject_snapshot_file(const std::string& dir) {
+  char magic[sizeof(io::kSnapshotMagic)] = {};
+  if (std::filesystem::is_directory(dir) ||
+      !std::ifstream(dir, std::ios::binary).read(magic, sizeof(magic)) ||
+      std::memcmp(magic, io::kSnapshotMagic, sizeof(magic)) != 0) {
+    return;
+  }
+  throw core::DatasetIoError(
+      dir + " is a FENRSNAP snapshot file, which is no longer resumed "
+            "from directly; convert it with `fenrirctl segment import " +
+      dir + " NEWDIR` and pass NEWDIR instead");
 }
 
 core::TimePoint parse_time_or_throw(const std::string& text) {
@@ -409,86 +448,63 @@ int cmd_analyze(const Args& args) {
   } else if (linkage != "single") {
     throw std::runtime_error("unknown linkage: " + linkage);
   }
-  cfg.detector.min_drop = std::stod(args.get("--min-drop", "0.02"));
+  cfg.detector.min_drop = parse_flag(args, "--min-drop", 0.02);
 
-  // --matrix-cache FILE: reuse a snapshot's Φ matrix when it is a prefix
-  // of this dataset built under the same flags; append the remainder and
-  // hand it to the pipeline. Every matrix path is bit-identical, so the
-  // report is byte-for-byte the same as a cold run — the cache only
-  // moves time around. A corrupt cache is an error (exit 3), a stale
-  // one is merely ignored.
-  const std::string cache_path = args.get("--matrix-cache", "");
-  const bool cache_is_store = !cache_path.empty() && path_is_store(cache_path);
-  std::optional<io::SegmentStore> seg_cache;
+  // --matrix-cache DIR: a FENRSEG segment store holding the Φ matrix of
+  // a prefix of this dataset built under the same flags. The cached rows
+  // are mmap-loaded, the remainder appended, and only the new rows
+  // written back. Every matrix path is bit-identical, so the report is
+  // byte-for-byte the same as a cold run — the cache only moves time
+  // around. A corrupt cache is an error (exit 3), a stale one is merely
+  // ignored.
+  const std::string cache_dir = args.get("--matrix-cache", "");
+  std::optional<io::SegmentStore> cache;
   std::optional<core::SimilarityMatrix> cached;
-  if (cache_is_store) {
-    seg_cache.emplace(cache_path, segment_config(args));
-    seg_cache->attach(&data);
-    bool usable = !seg_cache->empty();
-    if (usable && seg_cache->base_row() > 0) {
+  if (!cache_dir.empty()) {
+    reject_snapshot_file(cache_dir);
+    cache.emplace(cache_dir, segment_config(args));
+    cache->attach(&data);
+    bool usable = !cache->empty();
+    if (usable && cache->base_row() > 0) {
       // Retention already dropped rows analyze needs (it computes over
       // the whole dataset). Recompute cold and leave the store alone —
       // writing full-history rows into it would undo the retention.
-      FENRIR_LOG(Warn).field("cache", cache_path)
-              .field("base_row", seg_cache->base_row())
+      FENRIR_LOG(Warn).field("cache", cache_dir)
+              .field("base_row", cache->base_row())
           << "segment cache retains only a suffix; analyze needs the "
              "full history — recomputing without the cache";
-      seg_cache.reset();
+      cache.reset();
       usable = false;
-    } else if (usable && seg_cache->policy() != cfg.policy) {
-      FENRIR_LOG(Warn).field("cache", cache_path)
+    } else if (usable && cache->policy() != cfg.policy) {
+      FENRIR_LOG(Warn).field("cache", cache_dir)
           << "segment cache was built under another unknown policy; "
              "recomputing without the cache";
-      seg_cache.reset();
+      cache.reset();
       usable = false;
     }
     if (usable) {
-      io::SegmentStore::Loaded loaded = seg_cache->load(&data);
+      io::SegmentStore::Loaded loaded = cache->load(&data);
       cached = std::move(loaded.matrix);
       cached->append_batch(
           std::span(data.series).subspan(loaded.processed));
-      FENRIR_LOG(Info).field("cache", cache_path)
+      FENRIR_LOG(Info).field("cache", cache_dir)
               .field("cached_rows", loaded.processed)
               .field("appended", data.series.size() - loaded.processed)
           << "analyze: segment cache hit";
-    }
-  } else if (!cache_path.empty() && std::ifstream(cache_path).good()) {
-    io::Snapshot snap = io::load_snapshot_file(cache_path, /*threads=*/0);
-    const bool usable =
-        snap.matrix.has_value() && snap.processed <= data.series.size() &&
-        snap.matrix->policy() == cfg.policy &&
-        snap.prefix_hash == io::dataset_prefix_hash(data, snap.processed);
-    if (usable) {
-      cached = std::move(*snap.matrix);
-      cached->append_batch(
-          std::span(data.series).subspan(snap.processed));
-      FENRIR_LOG(Info).field("cache", cache_path)
-              .field("cached_rows", snap.processed)
-              .field("appended", data.series.size() - snap.processed)
-          << "analyze: matrix cache hit";
-    } else {
-      FENRIR_LOG(Warn).field("cache", cache_path)
-          << "matrix cache is stale; recomputing";
     }
   }
 
   const core::AnalysisResult result =
       cached.has_value() ? core::analyze(data, cfg, std::move(*cached))
                          : core::analyze(data, cfg);
-  if (seg_cache.has_value()) {
+  if (cache.has_value()) {
     // O(new rows): only the observations the store has not seen are
     // spilled; the sealed history is never rewritten.
-    for (std::size_t t = static_cast<std::size_t>(seg_cache->processed());
+    for (std::size_t t = static_cast<std::size_t>(cache->processed());
          t < data.series.size(); ++t) {
-      seg_cache->spill_row(data.series[t], result.matrix, t);
+      cache->spill_row(data.series[t], result.matrix, t);
     }
-    seg_cache->flush();
-  } else if (!cache_path.empty() && !cache_is_store) {
-    io::Snapshot snap;
-    snap.processed = data.series.size();
-    snap.prefix_hash = io::dataset_prefix_hash(data, snap.processed);
-    snap.matrix = result.matrix;
-    io::save_snapshot_file(cache_path, snap);
+    cache->flush();
   }
   core::print_report(data, result, std::cout);
 
@@ -557,7 +573,7 @@ int cmd_watch(const Args& args) {
   if (args.positional.size() != 1) return usage();
   core::Dataset data = core::load_dataset_file(args.positional[0]);
   core::ModeBook::Config cfg;
-  cfg.match_threshold = std::stod(args.get("--threshold", "0.85"));
+  cfg.match_threshold = parse_flag(args, "--threshold", 0.85);
   if (args.has("--pessimistic")) {
     cfg.policy = core::UnknownPolicy::kPessimistic;
   }
@@ -568,17 +584,12 @@ int cmd_watch(const Args& args) {
       "\"dataset\":\"" + obs::json_escape(data.name) +
           "\",\"observations\":" + std::to_string(data.series.size()));
 
-  // A stateful watch (--resume) also maintains the Φ matrix so the
-  // state file carries it — resuming then costs O(bytes) instead of
-  // the O(T²·N) rebuild. A plain watch stays matrix-free; its output
-  // and cost are untouched by any of this.
+  // A stateful watch (--store DIR) also maintains the Φ matrix and
+  // spills each row into the FENRSEG store, so resuming mmaps the
+  // history instead of paying the O(T²·N) rebuild. A plain watch stays
+  // matrix-free; its output and cost are untouched by any of this.
   std::size_t start = 0;
-  std::string state_path = args.get("--resume", "");
-  std::string store_dir = args.get("--store", "");
-  if (store_dir.empty() && !state_path.empty() && path_is_store(state_path)) {
-    store_dir = state_path;  // --resume DIR means the segment store form
-  }
-  if (!store_dir.empty()) state_path.clear();
+  const std::string store_dir = args.get("--store", "");
   // base maps between global observation indices (the loop's i) and
   // local matrix rows: a segment store's retention may have retired the
   // oldest rows, so the loaded matrix starts at global row `base`.
@@ -586,6 +597,7 @@ int cmd_watch(const Args& args) {
   std::optional<io::SegmentStore> store;
   std::optional<core::SimilarityMatrix> matrix;
   if (!store_dir.empty()) {
+    reject_snapshot_file(store_dir);
     store.emplace(store_dir, segment_config(args));
     store->attach(&data);
     if (store->processed() == 0) {
@@ -630,9 +642,9 @@ int cmd_watch(const Args& args) {
           if (i >= base) matrix->pin_anchor(i - base);
         }
       }
-      static obs::Counter& seg_resumes = obs::registry().counter(
+      static obs::Counter& resumes = obs::registry().counter(
           "fenrir_watch_resumes_total", "watch sessions resumed from state");
-      seg_resumes.inc();
+      resumes.inc();
       obs::event_bus().emit(
           obs::Severity::kNotice, "watch_resumed",
           "\"processed\":" + std::to_string(start) +
@@ -641,57 +653,6 @@ int cmd_watch(const Args& args) {
                 << " observations already processed, " << book.mode_count()
                 << " known modes\n";
     }
-  }
-  if (!state_path.empty()) {
-    matrix.emplace(cfg.policy, data.weights, /*threads=*/0);
-  }
-  if (!state_path.empty() && std::ifstream(state_path).good()) {
-    io::Snapshot state = io::load_watch_state(data, state_path, /*threads=*/0);
-    start = state.processed;
-    try {
-      book.restore(std::move(state.representatives),
-                   std::move(state.history));
-    } catch (const std::invalid_argument& e) {
-      throw core::DatasetIoError(std::string("watch state: ") + e.what());
-    }
-    const bool matrix_usable =
-        state.matrix.has_value() && state.matrix->size() == start &&
-        state.matrix->policy() == cfg.policy;
-    if (matrix_usable) {
-      matrix = std::move(*state.matrix);
-    } else {
-      // A v1 CSV state (or one saved under another policy) carries no
-      // usable matrix: rebuild it over the consumed prefix once. The
-      // save below writes v2, so this rebuild never happens twice.
-      if (state.matrix.has_value()) {
-        FENRIR_LOG(Warn).field("state", state_path)
-            << "watch state matrix unusable under current flags; "
-               "rebuilding";
-      }
-      matrix->append_batch(std::span(data.series).first(start));
-      // Re-pin each mode representative's first occurrence: history
-      // holds the mode of every *valid* observation in order.
-      std::vector<bool> seen(book.mode_count(), false);
-      std::size_t valid_seen = 0;
-      for (std::size_t i = 0; i < start; ++i) {
-        if (!data.series[i].valid) continue;
-        if (valid_seen >= book.history().size()) break;
-        const std::size_t mode = book.history()[valid_seen++];
-        if (mode < seen.size() && !seen[mode]) {
-          seen[mode] = true;
-          matrix->pin_anchor(i);
-        }
-      }
-    }
-    static obs::Counter& resumes = obs::registry().counter(
-        "fenrir_watch_resumes_total", "watch sessions resumed from state");
-    resumes.inc();
-    obs::event_bus().emit(
-        obs::Severity::kNotice, "watch_resumed",
-        "\"processed\":" + std::to_string(start) +
-            ",\"modes\":" + std::to_string(book.mode_count()));
-    std::cout << "resumed: " << start << " observations already processed, "
-              << book.mode_count() << " known modes\n";
   }
 
   // --journal FILE: one JSONL entry per observation, flushed as it is
@@ -764,12 +725,7 @@ int cmd_watch(const Args& args) {
   // Force a final snapshot so even a short run leaves /metrics/history
   // non-empty under --serve.
   obs::metrics_history().sample(true);
-  if (store.has_value()) {
-    store->flush(&book);
-  } else if (!state_path.empty()) {
-    io::save_watch_state(data, book, data.series.size(),
-                         matrix.has_value() ? &*matrix : nullptr, state_path);
-  }
+  if (store.has_value()) store->flush(&book);
   return 0;
 }
 
@@ -946,10 +902,7 @@ int events_tail(const Args& args) {
     std::cerr << "fenrirctl: events tail needs --port N\n";
     return 2;
   }
-  std::uint64_t since = 0;
-  if (const auto s = args.get("--since", ""); !s.empty()) {
-    since = std::stoull(s);
-  }
+  std::uint64_t since = parse_count(args, "--since", 0);
   const std::string type = args.get("--type", "");
   const std::string severity = args.get("--severity", "");
   if (!severity.empty() && !obs::parse_severity(severity)) {
@@ -1044,23 +997,6 @@ int cmd_events(const Args& args) {
   if (args.positional.size() == 1) return events_replay(args.positional[0]);
   if (args.positional.empty() && args.has("--port")) return events_tail(args);
   return usage();
-}
-
-std::size_t parse_count(const Args& args, const std::string& flag,
-                        std::size_t fallback, std::size_t lo, std::size_t hi) {
-  const std::string text = args.get(flag, "");
-  if (text.empty()) return fallback;
-  std::size_t value = 0;
-  try {
-    value = std::stoul(text);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad " + flag + " '" + text + "' (want a count)");
-  }
-  if (value < lo || value > hi) {
-    throw std::runtime_error(flag + " must be in [" + std::to_string(lo) +
-                             ", " + std::to_string(hi) + "]");
-  }
-  return value;
 }
 
 /// A synthetic federated campaign over the demo world: N member probers
@@ -1287,12 +1223,13 @@ int cmd_clean(const Args& args) {
   if (args.positional.size() != 2) return usage();
   core::Dataset data = core::load_dataset_file(args.positional[0]);
   core::InterpolateConfig icfg;
-  icfg.max_distance = std::stoul(args.get("--limit", "3"));
+  icfg.max_distance = parse_count(args, "--limit", 3);
   icfg.fill_edges = args.has("--fill-edges");
   const auto istats = core::interpolate_missing(data, icfg);
   core::CleaningStats mstats;
-  if (const auto micro = args.get("--micro", ""); !micro.empty()) {
-    mstats = core::remove_micro_catchments(data, std::stod(micro));
+  if (args.has("--micro")) {
+    mstats = core::remove_micro_catchments(
+        data, parse_flag(args, "--micro", 0.0));
   }
   core::save_dataset_file(data, args.positional[1]);
   std::cout << "filled " << istats.gaps_filled << " gaps, folded "
@@ -1723,7 +1660,6 @@ void register_metric_catalog() {
         "fenrir_phi_anchor_representative_total", "fenrir_phi_anchor_packed_total",
         "fenrir_phi_anchor_probes_total", "fenrir_phi_anchor_pins_total",
         "fenrir_phi_anchor_refreshes_total",
-        "fenrir_snapshot_save_total", "fenrir_snapshot_save_bytes_total",
         "fenrir_snapshot_load_total", "fenrir_snapshot_load_bytes_total",
         "fenrir_snapshot_corrupt_total", "fenrir_segment_sealed_total",
         "fenrir_segment_compacted_total", "fenrir_segment_retired_total",
@@ -1740,7 +1676,7 @@ void register_metric_catalog() {
         "fenrir_federation_members_healthy", "fenrir_federation_members_dead",
         "fenrir_phi_delta_density", "fenrir_phi_delta_speedup_ratio",
         "fenrir_phi_anchor_est_delta", "fenrir_phi_anchor_realized_delta",
-        "fenrir_snapshot_save_seconds", "fenrir_snapshot_load_seconds"}) {
+        "fenrir_snapshot_load_seconds"}) {
     r.gauge(name);
   }
 }
@@ -1956,9 +1892,12 @@ int main(int argc, char** argv) {
     }
     if (args.has("--profile")) obs::write_profile(std::cerr);
     return rc;
-  } catch (const core::DatasetIoError& e) {
+  } catch (const UsageError& e) {
     // Exit code taxonomy (see README): 2 usage, 3 I/O (unreadable,
     // unwritable, or malformed dataset/state files), 1 everything else.
+    std::cerr << "fenrirctl: " << e.what() << "\n";
+    return 2;
+  } catch (const core::DatasetIoError& e) {
     std::cerr << "fenrirctl: " << e.what() << "\n";
     return 3;
   } catch (const std::exception& e) {
