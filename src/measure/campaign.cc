@@ -12,7 +12,6 @@
 
 #include "io/csv.h"
 #include "obs/events.h"
-#include "obs/journal.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/metrics_window.h"
@@ -391,23 +390,6 @@ void Campaign::run_retry_waves() {
   tally_.end = pass_end;
 }
 
-std::string Campaign::journal_entry(const SweepReport& r, bool valid) {
-  std::ostringstream os;
-  os << "{\"type\":\"sweep\",\"sweep\":" << r.sweep << ",\"start\":" << r.start
-     << ",\"end\":" << r.end << ",\"targets\":" << r.targets
-     << ",\"answered\":" << r.answered << ",\"retried_out\":" << r.retried_out
-     << ",\"broken\":" << r.broken << ",\"unrouted\":" << r.unrouted
-     << ",\"retries\":" << r.retries
-     << ",\"disagreements\":" << r.disagreements
-     << ",\"coverage\":" << obs::render_double(r.coverage())
-     << ",\"floor\":" << obs::render_double(r.floor)
-     << ",\"confidence\":" << obs::render_double(r.confidence())
-     << ",\"valid\":" << (valid ? "true" : "false")
-     << ",\"low_coverage\":" << (r.low_coverage ? "true" : "false")
-     << ",\"collector_gap\":" << (r.collector_gap ? "true" : "false") << "}";
-  return os.str();
-}
-
 void Campaign::finish_sweep() {
   // The floor judging this sweep comes from the sweeps BEFORE it — the
   // adaptive EWMA is only fed afterwards (and never from a flagged
@@ -456,12 +438,27 @@ void Campaign::finish_sweep() {
           .field("valid", v.valid)
       << "campaign sweep";
 
-  // Journal order within a sweep: breaker transitions (written by
+  // Event order within a sweep: breaker transitions (emitted by
   // update_health above) first, then the sweep summary — deterministic,
-  // so the chaos prefix property holds line-for-line. The event stream
-  // follows the same order (breaker events above, sweep events here),
-  // so an event JSONL has its own prefix property by type sequence.
-  if (journal_ != nullptr) journal_->append(journal_entry(tally_, v.valid));
+  // so an event JSONL of a killed campaign is a line prefix of the
+  // uninterrupted run's (modulo ts).
+  obs::event_bus().emit_with(obs::Severity::kInfo, "sweep_completed", [&] {
+    const SweepReport& r = tally_;
+    std::ostringstream os;
+    os << "\"sweep\":" << r.sweep << ",\"start\":" << r.start
+       << ",\"end\":" << r.end << ",\"targets\":" << r.targets
+       << ",\"answered\":" << r.answered
+       << ",\"retried_out\":" << r.retried_out << ",\"broken\":" << r.broken
+       << ",\"unrouted\":" << r.unrouted << ",\"retries\":" << r.retries
+       << ",\"disagreements\":" << r.disagreements
+       << ",\"coverage\":" << obs::render_double(r.coverage())
+       << ",\"floor\":" << obs::render_double(r.floor)
+       << ",\"confidence\":" << obs::render_double(r.confidence())
+       << ",\"valid\":" << (v.valid ? "true" : "false")
+       << ",\"low_coverage\":" << (r.low_coverage ? "true" : "false")
+       << ",\"collector_gap\":" << (r.collector_gap ? "true" : "false");
+    return os.str();
+  });
 
   if (!v.valid) {
     // The sweep still produced a timeline slot — salvaged, not lost; the
@@ -516,11 +513,6 @@ void Campaign::update_health() {
           h.state = BreakerState::kClosed;
           h.reason = BreakReason::kNone;
           h.reopen_sweep = 0;
-          if (journal_ != nullptr) {
-            journal_->append("{\"type\":\"breaker\",\"sweep\":" +
-                             std::to_string(sweep_) + ",\"target\":" +
-                             std::to_string(i) + ",\"state\":\"closed\"}");
-          }
           obs::event_bus().emit(obs::Severity::kNotice, "breaker_close",
                                 "\"sweep\":" + std::to_string(sweep_) +
                                     ",\"target\":" + std::to_string(i));
@@ -540,12 +532,6 @@ void Campaign::update_health() {
               sweep_ + 1 + config_.breaker.cooldown_sweeps);
           ++h.trips;
           metrics().breaker_trips.inc();
-          if (journal_ != nullptr) {
-            journal_->append(
-                "{\"type\":\"breaker\",\"sweep\":" + std::to_string(sweep_) +
-                ",\"target\":" + std::to_string(i) +
-                ",\"state\":\"open\",\"reason\":\"persistently_dark\"}");
-          }
           obs::event_bus().emit(
               obs::Severity::kWarn, "breaker_open",
               "\"sweep\":" + std::to_string(sweep_) +

@@ -48,10 +48,6 @@
 #include "measure/adaptive_floor.h"
 #include "measure/schedule.h"
 
-namespace fenrir::obs {
-class Journal;
-}  // namespace fenrir::obs
-
 namespace fenrir::measure {
 
 class CampaignError : public std::runtime_error {
@@ -255,17 +251,6 @@ class Campaign {
     plan_ = plan;
   }
 
-  /// Streams one JSONL entry per finished sweep (plus one per breaker
-  /// transition) into @p journal — the write-ahead record a killed
-  /// campaign leaves behind (obs/journal.h; schema in DESIGN.md §9).
-  /// Pass nullptr to detach. The journal must outlive the campaign.
-  void set_journal(obs::Journal* journal) noexcept { journal_ = journal; }
-
-  /// The journal entry finish_sweep() would write for @p report —
-  /// exposed so tests and `fenrirctl journal` replay against the exact
-  /// writer-side format.
-  static std::string journal_entry(const SweepReport& report, bool valid);
-
   /// Runs sweeps up to @p sweep_count (resuming mid-sweep if a
   /// checkpoint said so). The result carries the FULL accumulated
   /// series, so a resumed campaign returns the same result an
@@ -335,7 +320,6 @@ class Campaign {
   std::size_t targets_;
   SweepSchedule schedule_;
   const chaos::FaultPlan* plan_ = nullptr;
-  obs::Journal* journal_ = nullptr;
   chaos::FaultClock clock_;
 
   // Campaign position.

@@ -9,7 +9,6 @@
 
 #include "io/csv.h"
 #include "obs/events.h"
-#include "obs/journal.h"
 #include "obs/lineage.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -294,22 +293,6 @@ void Federation::update_member_health(std::size_t index, std::size_t epoch,
   }
 }
 
-std::string Federation::journal_entry(const EpochReport& r) {
-  std::ostringstream os;
-  os << "{\"type\":\"epoch\",\"epoch\":" << r.epoch << ",\"start\":" << r.start
-     << ",\"end\":" << r.end << ",\"targets\":" << r.targets
-     << ",\"fresh\":" << r.fresh << ",\"stale\":" << r.stale
-     << ",\"aged_out\":" << r.aged_out << ",\"unserved\":" << r.unserved
-     << ",\"disagreements\":" << r.disagreements
-     << ",\"coverage\":" << obs::render_double(r.coverage())
-     << ",\"floor\":" << obs::render_double(r.floor)
-     << ",\"low_coverage\":" << (r.low_coverage ? "true" : "false")
-     << ",\"members_healthy\":" << r.members_healthy
-     << ",\"members_lagging\":" << r.members_lagging
-     << ",\"members_dead\":" << r.members_dead << "}";
-  return os.str();
-}
-
 void Federation::fold_epoch(std::size_t epoch) {
   const std::size_t n = config_.global_targets;
   EpochReport rep;
@@ -350,17 +333,6 @@ void Federation::fold_epoch(std::size_t epoch) {
     update_member_health(mi, epoch, fresh);
     if (!replaying_) {
       metrics().member_sweeps.inc();
-      if (journal_ != nullptr) {
-        std::ostringstream os;
-        os << "{\"type\":\"member\",\"epoch\":" << epoch
-           << ",\"member\":" << mi << ",\"name\":\"" << m.config.name
-           << "\",\"aligned_epoch\":" << aligned
-           << ",\"fresh\":" << (fresh ? "true" : "false")
-           << ",\"coverage\":" << obs::render_double(sweep.coverage())
-           << ",\"weight\":" << obs::render_double(member_weight(mi))
-           << ",\"state\":\"" << to_string(m.state) << "\"}";
-        journal_->append(os.str());
-      }
     }
   }
 
@@ -475,7 +447,6 @@ void Federation::fold_epoch(std::size_t epoch) {
               ",\"coverage\":" + obs::render_double(rep.coverage()) +
               ",\"floor\":" + obs::render_double(rep.floor));
     }
-    if (journal_ != nullptr) journal_->append(journal_entry(rep));
     FENRIR_LOG(Debug)
             .field("epoch", epoch)
             .field("fresh", rep.fresh)

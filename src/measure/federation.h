@@ -200,10 +200,6 @@ class Federation {
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
-  /// Streams one JSONL entry per member per epoch plus one per epoch
-  /// into @p journal. Pass nullptr to detach.
-  void set_journal(obs::Journal* journal) noexcept { journal_ = journal; }
-
   /// Runs epochs up to @p epoch_count, resuming where a previous run
   /// (or a restored checkpoint) left off. The result carries the FULL
   /// accumulated series, so a resumed federation returns the same
@@ -243,10 +239,6 @@ class Federation {
   /// Voting weight member @p i carries right now (its coverage EWMA).
   double member_weight(std::size_t i) const;
 
-  /// The journal entry the fold writes for @p report — exposed so tests
-  /// replay against the exact writer-side format.
-  static std::string journal_entry(const EpochReport& report);
-
  private:
   struct MemberState;  // member campaign + clock + freshness tables
 
@@ -261,10 +253,9 @@ class Federation {
 
   FederationConfig config_;
   std::vector<std::unique_ptr<MemberState>> members_;
-  obs::Journal* journal_ = nullptr;
 
   /// True while load_checkpoint_dir() replays the fold: no events, no
-  /// metrics, no journal, no logs — the replay must be invisible.
+  /// metrics, no logs — the replay must be invisible.
   bool replaying_ = false;
 
   AdaptiveFloor floor_;

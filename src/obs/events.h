@@ -24,8 +24,8 @@
 //     alert. Suppressed events consume no sequence number, which is
 //     what keeps kept seqs gap-free;
 //   * pluggable sinks: JsonlEventSink appends one JSON object per line
-//     through obs::Journal (same torn-tail-tolerant framing as the
-//     sweep journal, so a killed process leaves a valid prefix), and
+//     through obs::Journal (torn-tail-tolerant framing shared with the
+//     lineage log, so a killed process leaves a valid prefix), and
 //     the ring itself backs the HTTP plane's /events endpoint;
 //   * wait_for() gives the status server its long-poll primitive.
 //

@@ -3,7 +3,8 @@
 // /healthz used to answer "ok" unconditionally, which made it a TCP
 // liveness probe wearing a health endpoint's clothes. The degradation
 // registry fixes that: components that lose their ability to *record*
-// (a journal whose disk filled up, an event sink whose file went away)
+// (a lineage log whose disk filled up, an event sink whose file went
+// away)
 // report themselves here, and /healthz turns into HTTP 503 with
 // {"status":"degraded","reason":...}. The pipeline itself keeps running
 // — observability failing must never stop the measurement — but the

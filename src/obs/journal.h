@@ -1,28 +1,29 @@
-// fenrir::obs — append-only JSONL sweep journal.
+// fenrir::obs — append-only JSONL record framing.
 //
-// A measurement campaign that dies mid-run (chaos kill, OOM, operator
-// Ctrl-C) should leave behind a truthful record of every sweep it
-// *finished*, not a corrupt half-artifact. The journal is the classic
-// write-ahead answer: one JSON object per line, appended and flushed as
-// each sweep completes, never rewritten. Recovery is then a read
-// problem, not a repair problem:
+// A process that dies mid-run (chaos kill, OOM, operator Ctrl-C) should
+// leave behind a truthful record of every event and decision it
+// *finished*, not a corrupt half-artifact. The journal framing is the
+// classic write-ahead answer: one JSON object per line, appended and
+// flushed as each record is made, never rewritten. Recovery is then a
+// read problem, not a repair problem:
 //
 //   * every fully written line is valid on its own;
 //   * a process killed mid-append leaves at most one torn final line,
-//     which the reader silently drops (the sweep it described never
+//     which the reader silently drops (the record it described never
 //     finished reporting, so dropping it is the truth);
 //   * a malformed line in the *interior* means real corruption (disk,
 //     truncation, editing) and throws JournalError — silently skipping
-//     would fabricate a gap the campaign never had.
+//     would fabricate a gap the run never had.
 //
-// Under the repo's determinism invariant this gives the journal
-// prefix property the chaos tests pin down: a journal written by a
-// killed campaign is a bit-identical line prefix of the journal the
-// uninterrupted campaign writes.
+// Under the repo's determinism invariant this gives the prefix
+// property the chaos tests pin down: a log written by a killed
+// campaign is a line prefix of the log the uninterrupted campaign
+// writes (modulo wall-clock "ts" stamps).
 //
-// Writers: measure::Campaign (one line per sweep, see DESIGN.md §9 for
-// the schema) and fenrirctl watch (one line per poll). Reader:
-// `fenrirctl journal <file>` replays and summarizes.
+// Writers: the two record logs — JsonlEventSink (--events-out, one
+// event per line, obs/events.h) and the lineage log (--lineage, one
+// DecisionRecord per line, obs/lineage.h); DESIGN.md §9 has the
+// layout. Reader: `fenrirctl replay FILE` summarizes either log.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +50,7 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Opens @p path for appending (@p truncate drops prior content —
-  /// fresh campaigns truncate, resumed ones append). Returns false when
+  /// fresh runs may truncate, resumed ones append). Returns false when
   /// the file cannot be opened; the journal is then inert and append()
   /// is a no-op, so callers need not guard every write.
   bool open(const std::string& path, bool truncate = false);

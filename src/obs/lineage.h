@@ -15,7 +15,7 @@
 //     /lineage and /explain/<mode> HTTP endpoints and fenrirctl
 //     explain;
 //   * an optional append-only JSONL log through obs::Journal — the
-//     same torn-tail-tolerant framing as the sweep journal, so a
+//     same torn-tail-tolerant framing as the event log, so a
 //     killed run leaves a ts-stripped line prefix of the uninterrupted
 //     run's log (chaos_campaign_test pins this).
 //
@@ -113,8 +113,7 @@ struct DecisionRecord {
 /// prefix tests compare.
 std::string record_json(const DecisionRecord& record);
 
-/// Parses a record_json() line back (fenrirctl lineage replay /
-/// explain). Nullopt when the line is not a lineage record.
+/// Parses a record_json() line back (fenrirctl replay / explain). Nullopt when the line is not a lineage record.
 std::optional<DecisionRecord> parse_record_json(const std::string& line);
 
 /// A consumer of recorded decisions (the flight recorder). consume()

@@ -40,7 +40,7 @@ namespace fenrir::obs {
 
 /// Shortest decimal form of @p x that still round-trips: keeps exposition
 /// files small and their diffs stable. Shared by the metrics writers, the
-/// sweep journal, and the trace exporter.
+/// event and lineage logs, and the trace exporter.
 std::string render_double(double x);
 
 /// Prometheus exposition escaping. HELP text escapes backslash and

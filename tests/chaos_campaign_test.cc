@@ -492,78 +492,6 @@ TEST(Campaign, KillRestartIsBitIdentical) {
   expect_equal_results(completed, expected);
 }
 
-TEST(Campaign, JournalOfKilledCampaignIsPrefixOfUninterruptedJournal) {
-  // The sweep journal's integrity story (obs/journal.h) leans on the
-  // determinism invariant: a campaign killed mid-run must leave behind
-  // exactly the leading lines of the journal the uninterrupted campaign
-  // writes — nothing reordered, nothing half-written, and a resumed
-  // campaign appending to the same file completes it bit-identically.
-  const FnProber p = flaky_prober(50, 77, 0.6);
-  const auto ambient = [](chaos::FaultPlan& plan) {
-    plan.add_loss_burst(10, 40, 0.7);
-    plan.add_outage(1010, 0, 30);
-  };
-  chaos::FaultPlan baseline_plan(1);
-  ambient(baseline_plan);
-  chaos::FaultPlan killing_plan(1);
-  ambient(killing_plan);
-  killing_plan.add_kill(1, 0.4);
-
-  const std::string full_path =
-      ::testing::TempDir() + "fenrir_journal_full.jsonl";
-  const std::string killed_path =
-      ::testing::TempDir() + "fenrir_journal_killed.jsonl";
-  std::remove(full_path.c_str());
-  std::remove(killed_path.c_str());
-
-  obs::Journal full_journal;
-  ASSERT_TRUE(full_journal.open(full_path, /*truncate=*/true));
-  Campaign baseline({&p}, fast_config());
-  baseline.set_fault_plan(&baseline_plan);
-  baseline.set_journal(&full_journal);
-  baseline.run(4);
-  full_journal.close();
-
-  obs::Journal killed_journal;
-  ASSERT_TRUE(killed_journal.open(killed_path, /*truncate=*/true));
-  Campaign doomed({&p}, fast_config());
-  doomed.set_fault_plan(&killing_plan);
-  doomed.set_journal(&killed_journal);
-  const CampaignResult partial = doomed.run(4);
-  ASSERT_TRUE(partial.interrupted);
-  killed_journal.close();
-
-  const std::vector<std::string> full = obs::read_journal(full_path);
-  const std::vector<std::string> killed = obs::read_journal(killed_path);
-  ASSERT_FALSE(full.empty());
-  ASSERT_LT(killed.size(), full.size());
-  for (std::size_t i = 0; i < killed.size(); ++i) {
-    EXPECT_EQ(killed[i], full[i]) << "journal line " << i;
-  }
-
-  // Resume from a checkpoint, appending to the killed journal: the
-  // finished file must equal the uninterrupted journal line for line.
-  std::ostringstream checkpoint;
-  doomed.save_checkpoint(checkpoint);
-  obs::Journal resumed_journal;
-  ASSERT_TRUE(resumed_journal.open(killed_path, /*truncate=*/false));
-  Campaign resumed({&p}, fast_config());
-  resumed.set_fault_plan(&killing_plan);
-  std::istringstream in(checkpoint.str());
-  resumed.load_checkpoint(in);
-  resumed.set_journal(&resumed_journal);
-  resumed.run(4);
-  resumed_journal.close();
-
-  const std::vector<std::string> completed = obs::read_journal(killed_path);
-  ASSERT_EQ(completed.size(), full.size());
-  for (std::size_t i = 0; i < completed.size(); ++i) {
-    EXPECT_EQ(completed[i], full[i]) << "journal line " << i;
-  }
-  std::remove(full_path.c_str());
-  std::remove(killed_path.c_str());
-}
-
 namespace {
 
 /// Event lines carry a wall-clock "ts" that legitimately differs
@@ -584,15 +512,31 @@ std::string event_type(const std::string& line) {
   return end == std::string::npos ? "" : line.substr(at + 8, end - at - 8);
 }
 
+/// The sweep_completed lines of an event log with "seq" and "ts"
+/// stripped: what a resumed log must reproduce verbatim, even though a
+/// spliced-in campaign_resumed marker shifts every later seq.
+std::vector<std::string> sweep_summaries(
+    const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    if (event_type(line) != "sweep_completed") continue;
+    const std::string rest = without_ts(line);  // {"seq":N,"severity"...
+    out.push_back("{" + rest.substr(rest.find(',') + 1));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(Campaign, EventLogOfKilledCampaignIsPrefixOfUninterruptedLog) {
-  // The detection event stream (obs/events.h) rides the same per-sweep
-  // deterministic order as the journal, so a chaos-killed campaign's
-  // --events-out file must be a valid JSONL prefix of the uninterrupted
-  // run's — modulo the wall-clock "ts" stamps, which carry no analysis
-  // meaning. Target 0 is persistently dark so breaker events fire
-  // before and after the kill point.
+  // The detection event stream (obs/events.h) follows a deterministic
+  // per-sweep order, so a chaos-killed campaign's --events-out file
+  // must be a valid JSONL prefix of the uninterrupted run's — modulo
+  // the wall-clock "ts" stamps, which carry no analysis meaning — and a
+  // resumed campaign appending to it must complete the record: one
+  // sweep_completed summary per sweep, each identical to the
+  // uninterrupted run's. Target 0 is persistently dark so breaker
+  // events fire before and after the kill point.
   const auto k = keys(4);
   const FnProber p(k, [](std::size_t i, core::TimePoint) {
     return i == 0 ? ProbeReply{core::kUnknownSite, ProbeStatus::kNoReply}
@@ -675,6 +619,26 @@ TEST(Campaign, EventLogOfKilledCampaignIsPrefixOfUninterruptedLog) {
     EXPECT_EQ(event_type(completed[i]), expected_types[i])
         << "event line " << i;
   }
+
+  // Exactly one sweep summary per sweep, in sweep order; the killed log
+  // holds the leading ones and the resumed log all of them, field for
+  // field the uninterrupted run's.
+  const std::vector<std::string> want = sweep_summaries(full);
+  ASSERT_EQ(want.size(), 5u);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].rfind("{\"severity\":\"info\",\"type\":"
+                            "\"sweep_completed\",\"sweep\":" +
+                                std::to_string(i) + ",",
+                            0),
+              0u)
+        << want[i];
+  }
+  const std::vector<std::string> before_kill = sweep_summaries(killed);
+  ASSERT_LT(before_kill.size(), want.size());
+  for (std::size_t i = 0; i < before_kill.size(); ++i) {
+    EXPECT_EQ(before_kill[i], want[i]) << "sweep " << i;
+  }
+  EXPECT_EQ(sweep_summaries(completed), want);
   std::remove(full_path.c_str());
   std::remove(killed_path.c_str());
 }

@@ -140,8 +140,8 @@ TEST(Lineage, RecordJsonParsesBackLossless) {
   EXPECT_EQ(parsed->member, kLineageNoMember);
   EXPECT_EQ(parsed->staleness, 3u);
   EXPECT_EQ(parsed->disagreements, 1u);
-  // Non-lineage lines (a sweep journal line, garbage) are nullopt, not
-  // a throw — replay files may interleave.
+  // Non-lineage lines (an event line, garbage) are nullopt, not a
+  // throw — replay files may interleave.
   EXPECT_FALSE(parse_record_json("{\"sweep\":1,\"targets\":9}").has_value());
   EXPECT_FALSE(parse_record_json("not json").has_value());
 }

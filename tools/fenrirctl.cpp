@@ -13,12 +13,14 @@
 //   fenrirctl clean in.csv out.csv        interpolate gaps, fold micros
 //   fenrirctl compare data.csv T1 T2      Gower phi between two instants
 //   fenrirctl transitions data.csv T1 T2  the Table-3 style matrix
-//   fenrirctl journal file.jsonl          replay a sweep journal (see
-//                                         src/obs/journal.h); summarizes
-//                                         sweeps and breaker transitions
-//   fenrirctl events file.jsonl           replay an event log written by
-//                                         --events-out: summary table by
-//                                         type and severity
+//   fenrirctl replay FILE.jsonl           summarize a record log written
+//                                         by --events-out or --lineage:
+//                                         per-sweep table (campaign
+//                                         sweep_completed events),
+//                                         verdict and per-mode tables
+//                                         (decision records), and events
+//                                         by type and severity. Corrupt
+//                                         logs exit 3
 //   fenrirctl events --port N [opts]      tail a live server's /events
 //                                         endpoint (see below)
 //   fenrirctl federate out.csv [opts]     run a synthetic federated
@@ -37,9 +39,6 @@
 //                                         provenance. Offline over a
 //                                         --lineage FILE.jsonl log, or
 //                                         live against --port N
-//   fenrirctl lineage replay FILE.jsonl   summarize a decision lineage
-//                                         log written by --lineage:
-//                                         verdict and per-mode tables
 //   fenrirctl blackbox dump FILE          read back a --blackbox flight
 //                                         recorder ring — works on the
 //                                         wreckage after any kill or
@@ -157,22 +156,21 @@
 //                         scripts need not parse logs
 //   --serve               keep the status server (and the process) alive
 //                         after the command until SIGINT/SIGTERM
-//   --journal FILE        watch only: append one JSONL entry per
-//                         observation (replay with `fenrirctl journal`)
 //   --events-out FILE     append every detection event (obs/events.h)
-//                         to FILE as JSONL — same torn-tail-tolerant
-//                         framing as the journal; replay with
-//                         `fenrirctl events FILE`
+//                         to FILE as JSONL (torn-tail-tolerant
+//                         obs/journal.h framing); replay with
+//                         `fenrirctl replay FILE`
 //   --lineage FILE        append one DecisionRecord (obs/lineage.h) per
 //                         ModeBook verdict to FILE as JSONL — the why
 //                         behind every new-mode/recurrence call; read
 //                         back with `fenrirctl explain M --lineage
-//                         FILE` or `fenrirctl lineage replay FILE`
+//                         FILE` or `fenrirctl replay FILE`
 //   --blackbox FILE       keep a crash-safe mmap'd ring of the last
 //                         decisions and events in FILE; sealed on exit
 //                         and on fatal signals, readable after ANY
 //                         crash with `fenrirctl blackbox dump FILE`
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -188,6 +186,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -228,8 +227,8 @@ namespace {
 
 int usage() {
   std::cerr << "usage: fenrirctl "
-               "<demo|info|analyze|watch|clean|compare|transitions|journal"
-               "|events|federate|explain|lineage|blackbox|segment> "
+               "<demo|info|analyze|watch|clean|compare|transitions|replay"
+               "|events|federate|explain|blackbox|segment> "
                "...\n(see the header of tools/fenrirctl.cpp for options)\n";
   return 2;
 }
@@ -272,8 +271,8 @@ Args parse_args(int argc, char** argv, int first) {
            flag == "--log-level" || flag == "--metrics" ||
            flag == "--matrix-cache" ||
            flag == "--trace-out" || flag == "--status-port" ||
-           flag == "--status-port-file" || flag == "--journal" ||
-           flag == "--events-out" || flag == "--port" ||
+           flag == "--status-port-file" || flag == "--events-out" ||
+           flag == "--port" ||
            flag == "--since" || flag == "--type" || flag == "--severity" ||
            flag == "--retries" || flag == "--members" || flag == "--epochs" ||
            flag == "--overlap" || flag == "--kill-member" ||
@@ -300,19 +299,41 @@ Args parse_args(int argc, char** argv, int first) {
   return out;
 }
 
-/// The value of numeric @p flag, or @p fallback when absent. The whole
-/// value must parse as a T (so "-1" is no count); anything else is a
-/// UsageError naming the flag.
+/// @p text parsed whole as a T, or nullopt: "1x" is no number and "-1"
+/// is no count.
 template <typename T>
-T parse_flag(const Args& args, const std::string& flag, T fallback) {
-  const std::string text = args.get(flag, "");
-  if (text.empty()) return fallback;
+std::optional<T> parse_whole(std::string_view text) {
   T value{};
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || end != text.data() + text.size()) {
-    throw UsageError("bad " + flag + " '" + text + "' (want a " +
-                     (std::is_integral_v<T> ? "count" : "number") + ")");
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// @p text parsed whole as a T; anything else is a UsageError naming
+/// @p name, the flag or environment variable the text came from.
+template <typename T>
+T parse_number(const std::string& text, const std::string& name) {
+  if (const auto value = parse_whole<T>(text)) return *value;
+  throw UsageError("bad " + name + " '" + text + "' (want a " +
+                   (std::is_integral_v<T> ? "count" : "number") + ")");
+}
+
+/// The value of numeric @p flag, or @p fallback when absent.
+template <typename T>
+T parse_flag(const Args& args, const std::string& flag, T fallback) {
+  return args.has(flag) ? parse_number<T>(args.get(flag, ""), flag)
+                        : fallback;
+}
+
+/// @p value of @p name, which must lie within [lo, hi].
+std::size_t in_range(std::size_t value, const std::string& name,
+                     std::size_t lo, std::size_t hi) {
+  if (value < lo || value > hi) {
+    throw UsageError(name + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
   }
   return value;
 }
@@ -321,12 +342,7 @@ T parse_flag(const Args& args, const std::string& flag, T fallback) {
 std::size_t parse_count(const Args& args, const std::string& flag,
                         std::size_t fallback, std::size_t lo = 0,
                         std::size_t hi = SIZE_MAX) {
-  const std::size_t value = parse_flag(args, flag, fallback);
-  if (value < lo || value > hi) {
-    throw UsageError(flag + " must be in [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "]");
-  }
-  return value;
+  return in_range(parse_flag(args, flag, fallback), flag, lo, hi);
 }
 
 /// Store tuning shared by watch --store, analyze --matrix-cache DIR, and
@@ -655,14 +671,6 @@ int cmd_watch(const Args& args) {
     }
   }
 
-  // --journal FILE: one JSONL entry per observation, flushed as it is
-  // written (obs/journal.h). A fresh watch truncates; a resumed one
-  // appends, continuing the existing record.
-  obs::Journal journal;
-  if (const auto path = args.get("--journal", ""); !path.empty()) {
-    journal.open(path, /*truncate=*/start == 0);
-  }
-
   for (std::size_t i = start; i < data.series.size(); ++i) {
     const core::RoutingVector& v = data.series[i];
     if (matrix.has_value()) matrix->append(v);
@@ -697,17 +705,6 @@ int cmd_watch(const Args& args) {
       std::cout << "  RECURRENCE";
     }
     std::cout << "\n";
-    if (journal.is_open()) {
-      std::ostringstream os;
-      os << "{\"type\":\"watch\",\"time\":" << v.time
-         << ",\"mode\":" << match.mode
-         << ",\"phi\":" << obs::render_double(match.phi)
-         << ",\"valid\":" << (v.valid ? "true" : "false")
-         << ",\"is_new\":" << (match.is_new ? "true" : "false")
-         << ",\"is_recurrence\":" << (match.is_recurrence ? "true" : "false")
-         << "}";
-      journal.append(os.str());
-    }
     obs::status_board().publish("modebook", book.status_json());
     // One windowed-metrics snapshot per observation, rate-limited
     // inside — the watch loop is /metrics/history's sampling cadence.
@@ -730,7 +727,7 @@ int cmd_watch(const Args& args) {
 }
 
 /// Pulls the numeric or bare-literal value of "key": out of a flat JSON
-/// object line — enough for the journal's own writer-side format, not a
+/// object line — enough for Fenrir's own writer-side formats, not a
 /// general parser.
 std::string json_field(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -747,44 +744,15 @@ std::string json_field(const std::string& line, const std::string& key) {
   return line.substr(from, to - from);
 }
 
-int cmd_journal(const Args& args) {
-  if (args.positional.size() != 1) return usage();
-  std::vector<std::string> lines;
+/// Reads a JSONL record log (obs/journal.h framing). Unreadable or
+/// corrupt logs sit in the same taxonomy slot as malformed datasets:
+/// exit code 3.
+std::vector<std::string> read_record_log(const std::string& path) {
   try {
-    lines = obs::read_journal(args.positional[0]);
+    return obs::read_journal(path);
   } catch (const obs::JournalError& e) {
-    // Unreadable or corrupt journal files sit in the same taxonomy slot
-    // as malformed datasets: exit code 3.
     throw core::DatasetIoError(e.what());
   }
-
-  io::TextTable table;
-  table.header({"sweep", "answered", "retried-out", "broken", "unrouted",
-                "retries", "coverage", "valid"});
-  std::size_t sweeps = 0, breakers = 0, watches = 0, other = 0;
-  for (const std::string& line : lines) {
-    const std::string type = json_field(line, "type");
-    if (type == "sweep") {
-      ++sweeps;
-      table.row(json_field(line, "sweep"), json_field(line, "answered"),
-                json_field(line, "retried_out"), json_field(line, "broken"),
-                json_field(line, "unrouted"), json_field(line, "retries"),
-                json_field(line, "coverage"), json_field(line, "valid"));
-    } else if (type == "breaker") {
-      ++breakers;
-    } else if (type == "watch") {
-      ++watches;
-    } else {
-      ++other;
-    }
-  }
-  if (sweeps > 0) table.print(std::cout);
-  std::cout << lines.size() << " journal entries: " << sweeps << " sweeps, "
-            << breakers << " breaker transitions, " << watches
-            << " watch observations";
-  if (other > 0) std::cout << ", " << other << " other";
-  std::cout << "\n";
-  return 0;
 }
 
 /// Splits the "events":[...] array of an /events response into its
@@ -850,58 +818,10 @@ void print_event_line(const std::string& object) {
   std::cout << os.str() << "\n";
 }
 
-/// Replay mode: summarize an --events-out JSONL file. Corrupt interior
-/// lines are exit code 3, same taxonomy as `fenrirctl journal`.
-int events_replay(const std::string& path) {
-  std::vector<std::string> lines;
-  try {
-    lines = obs::read_journal(path);
-  } catch (const obs::JournalError& e) {
-    throw core::DatasetIoError(e.what());
-  }
-  // Count per (type, severity); map keeps the table deterministic.
-  std::map<std::pair<std::string, std::string>,
-           std::pair<std::size_t, std::size_t>>
-      by_kind;  // -> {events, suppressed}
-  std::size_t suppressed_total = 0;
-  for (const std::string& line : lines) {
-    auto& slot = by_kind[{json_field(line, "type"),
-                          json_field(line, "severity")}];
-    ++slot.first;
-    if (const std::string s = json_field(line, "suppressed"); !s.empty()) {
-      const auto n = std::stoul(s);
-      slot.second += n;
-      suppressed_total += n;
-    }
-  }
-  if (!by_kind.empty()) {
-    io::TextTable table;
-    table.header({"type", "severity", "events", "suppressed"});
-    for (const auto& [kind, counts] : by_kind) {
-      table.row(kind.first, kind.second, counts.first, counts.second);
-    }
-    table.print(std::cout);
-  }
-  std::cout << lines.size() << " events";
-  if (suppressed_total > 0) {
-    std::cout << " (+" << suppressed_total << " suppressed by dedup)";
-  }
-  std::cout << "\n";
-  return 0;
-}
-
 /// Tail mode: GET /events from a live status server, optionally
 /// long-polling with --follow until SIGINT or the server goes away.
 int events_tail(const Args& args) {
-  long port = -1;
-  try {
-    port = std::stol(args.get("--port", ""));
-  } catch (const std::exception&) {
-  }
-  if (port < 0 || port > 65535) {
-    std::cerr << "fenrirctl: events tail needs --port N\n";
-    return 2;
-  }
+  const std::size_t port = parse_count(args, "--port", 0, 0, 65535);
   std::uint64_t since = parse_count(args, "--since", 0);
   const std::string type = args.get("--type", "");
   const std::string severity = args.get("--severity", "");
@@ -914,19 +834,7 @@ int events_tail(const Args& args) {
   // A status server restarting mid-tail (or not yet listening) should
   // cost a few backed-off retries, not an instant exit — but the retry
   // must be bounded and the final diagnostic must say what was tried.
-  long retries = 5;
-  if (const auto r = args.get("--retries", ""); !r.empty()) {
-    try {
-      retries = std::stol(r);
-    } catch (const std::exception&) {
-      retries = 0;
-    }
-    if (retries < 1) {
-      std::cerr << "fenrirctl: bad --retries '" << r
-                << "' (want a positive attempt count)\n";
-      return 2;
-    }
-  }
+  const std::size_t retries = parse_count(args, "--retries", 5, 1, 1000);
   const bool follow = args.has("--follow");
   if (follow) {
     std::signal(SIGINT, handle_shutdown_signal);
@@ -934,7 +842,7 @@ int events_tail(const Args& args) {
   }
 
   bool connected = false;
-  long failures = 0;
+  std::size_t failures = 0;
   while (!g_shutdown.load()) {
     std::string target = "/events?since=" + std::to_string(since);
     if (!type.empty()) target += "&type=" + type;
@@ -963,7 +871,7 @@ int events_tail(const Args& args) {
       // Exponential backoff between attempts: 250ms doubling, capped at
       // 4s — a restarting server gets a window, a dead one costs ~8s at
       // the default 5 attempts.
-      const long shift = failures - 1 < 10 ? failures - 1 : 10;
+      const std::size_t shift = std::min<std::size_t>(failures - 1, 10);
       const long delay_ms = std::min(4000L, 250L << shift);
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       continue;
@@ -994,7 +902,6 @@ int events_tail(const Args& args) {
 }
 
 int cmd_events(const Args& args) {
-  if (args.positional.size() == 1) return events_replay(args.positional[0]);
   if (args.positional.empty() && args.has("--port")) return events_tail(args);
   return usage();
 }
@@ -1381,15 +1288,7 @@ int cmd_explain(const Args& args) {
   // Live path: ask a running server's /explain endpoint and print the
   // JSON verbatim (scripts parse it; the offline path is the prose one).
   if (args.has("--port")) {
-    long port = -1;
-    try {
-      port = std::stol(args.get("--port", ""));
-    } catch (const std::exception&) {
-    }
-    if (port < 0 || port > 65535) {
-      std::cerr << "fenrirctl: explain needs a valid --port N\n";
-      return 2;
-    }
+    const std::size_t port = parse_count(args, "--port", 0, 0, 65535);
     const auto response =
         obs::http_get(static_cast<std::uint16_t>(port),
                       "/explain/" + std::to_string(*mode), 5000);
@@ -1412,12 +1311,7 @@ int cmd_explain(const Args& args) {
                  "--port N\n";
     return 2;
   }
-  std::vector<std::string> lines;
-  try {
-    lines = obs::read_journal(path);
-  } catch (const obs::JournalError& e) {
-    throw core::DatasetIoError(e.what());
-  }
+  const std::vector<std::string> lines = read_record_log(path);
   // Replay into a private store: the global one may have a log attached
   // (main's --lineage wiring is skipped for read-only commands, but a
   // private store also keeps ids aligned with the log's own).
@@ -1437,48 +1331,101 @@ int cmd_explain(const Args& args) {
   return print_explanation(store, *mode);
 }
 
-int cmd_lineage(const Args& args) {
-  if (args.positional.size() != 2 || args.positional[0] != "replay") {
-    return usage();
-  }
-  std::vector<std::string> lines;
-  try {
-    lines = obs::read_journal(args.positional[1]);
-  } catch (const obs::JournalError& e) {
-    throw core::DatasetIoError(e.what());
-  }
-  // verdict index -> count, plus per-mode rows; maps keep the table
+/// The value of numeric @p key in record-log @p line. A missing or
+/// malformed value ("zz", or "-3" for a count) makes the log malformed:
+/// exit code 3, never a crash or a wrapped count.
+template <typename T>
+T log_number(const std::string& line, const std::string& key) {
+  const std::string text = json_field(line, key);
+  if (const auto value = parse_whole<T>(text)) return *value;
+  throw core::DatasetIoError("malformed \"" + key + "\" value '" + text +
+                             "' in record log line: " + line);
+}
+
+/// `replay FILE`: one pass over a record log written by --events-out or
+/// --lineage (or both concatenated). Decision records feed the verdict
+/// and per-mode tables; every other line is an event and feeds the
+/// type x severity table; sweep_completed events also get a per-sweep
+/// row.
+int cmd_replay(const Args& args) {
+  if (args.positional.size() != 1) return usage();
+  const std::vector<std::string> lines = read_record_log(args.positional[0]);
+
+  io::TextTable sweeps;
+  sweeps.header({"sweep", "answered", "retried-out", "broken", "unrouted",
+                 "retries", "coverage", "valid"});
+  // Decisions: verdict index -> count, plus per-mode rows. Events:
+  // (type, severity) -> {events, suppressed}. Maps keep the tables
   // deterministic.
   std::array<std::uint64_t, 3> verdicts{};
   std::map<std::uint64_t, std::array<std::uint64_t, 3>> by_mode;
-  std::size_t federated = 0, skipped = 0;
+  std::map<std::pair<std::string, std::string>,
+           std::pair<std::size_t, std::uint64_t>>
+      by_kind;
+  std::size_t decisions = 0, federated = 0, events = 0;
+  std::uint64_t suppressed_total = 0;
   for (const std::string& line : lines) {
-    const auto record = obs::parse_record_json(line);
-    if (!record) {
-      ++skipped;
+    if (const auto record = obs::parse_record_json(line)) {
+      const auto v = static_cast<std::size_t>(record->verdict);
+      ++decisions;
+      ++verdicts[v];
+      ++by_mode[record->mode][v];
+      federated += record->federated ? 1 : 0;
       continue;
     }
-    const auto v = static_cast<std::size_t>(record->verdict);
-    ++verdicts[v];
-    ++by_mode[record->mode][v];
-    federated += record->federated ? 1 : 0;
+    const std::string type = json_field(line, "type");
+    auto& slot = by_kind[{type, json_field(line, "severity")}];
+    ++events;
+    ++slot.first;
+    if (line.find("\"suppressed\":") != std::string::npos) {
+      const auto n = log_number<std::uint64_t>(line, "suppressed");
+      slot.second += n;
+      suppressed_total += n;
+    }
+    if (type == "sweep_completed") {
+      // Coverage is checked, then printed as the writer's shortest
+      // round-trip text.
+      log_number<double>(line, "coverage");
+      sweeps.row(log_number<std::uint64_t>(line, "sweep"),
+                 log_number<std::uint64_t>(line, "answered"),
+                 log_number<std::uint64_t>(line, "retried_out"),
+                 log_number<std::uint64_t>(line, "broken"),
+                 log_number<std::uint64_t>(line, "unrouted"),
+                 log_number<std::uint64_t>(line, "retries"),
+                 json_field(line, "coverage"), json_field(line, "valid"));
+    }
   }
-  if (!by_mode.empty()) {
+
+  if (sweeps.rows() > 0) sweeps.print(std::cout);
+  if (decisions > 0) {
     io::TextTable table;
     table.header({"mode", "new", "recurrences", "repeats", "total"});
     for (const auto& [mode, counts] : by_mode) {
-      table.row(std::to_string(mode), std::to_string(counts[0]),
-                std::to_string(counts[1]), std::to_string(counts[2]),
-                std::to_string(counts[0] + counts[1] + counts[2]));
+      table.row(mode, counts[0], counts[1], counts[2],
+                counts[0] + counts[1] + counts[2]);
     }
     table.print(std::cout);
+    std::cout << decisions << " decisions: " << verdicts[0]
+              << " new modes, " << verdicts[1] << " recurrences, "
+              << verdicts[2] << " repeats";
+    if (federated > 0) std::cout << " (" << federated << " federated)";
+    std::cout << "\n";
   }
-  std::cout << (lines.size() - skipped) << " decisions: " << verdicts[0]
-            << " new modes, " << verdicts[1] << " recurrences, "
-            << verdicts[2] << " repeats";
-  if (federated > 0) std::cout << " (" << federated << " federated)";
-  if (skipped > 0) std::cout << "; " << skipped << " non-lineage lines";
-  std::cout << "\n";
+  if (events > 0 || decisions == 0) {
+    if (!by_kind.empty()) {
+      io::TextTable table;
+      table.header({"type", "severity", "events", "suppressed"});
+      for (const auto& [kind, counts] : by_kind) {
+        table.row(kind.first, kind.second, counts.first, counts.second);
+      }
+      table.print(std::cout);
+    }
+    std::cout << events << " events";
+    if (suppressed_total > 0) {
+      std::cout << " (+" << suppressed_total << " suppressed by dedup)";
+    }
+    std::cout << "\n";
+  }
   return 0;
 }
 
@@ -1499,7 +1446,7 @@ int cmd_blackbox(const Args& args) {
   try {
     report = obs::FlightRecorder::dump(args.positional[1]);
   } catch (const obs::FlightRecorderError& e) {
-    // Same taxonomy slot as corrupt snapshots and journals: exit 3.
+    // Same taxonomy slot as corrupt snapshots and record logs: exit 3.
     throw core::DatasetIoError(e.what());
   }
   std::cout << "blackbox " << args.positional[1] << ": ";
@@ -1604,11 +1551,10 @@ int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "clean") return cmd_clean(args);
   if (cmd == "compare") return cmd_compare(args);
   if (cmd == "transitions") return cmd_transitions(args);
-  if (cmd == "journal") return cmd_journal(args);
   if (cmd == "events") return cmd_events(args);
   if (cmd == "federate") return cmd_federate(args);
   if (cmd == "explain") return cmd_explain(args);
-  if (cmd == "lineage") return cmd_lineage(args);
+  if (cmd == "replay") return cmd_replay(args);
   if (cmd == "blackbox") return cmd_blackbox(args);
   if (cmd == "segment") return cmd_segment(args);
   return usage();
@@ -1747,11 +1693,10 @@ int main(int argc, char** argv) {
     track_default_metric_windows();
 
     // --events-out FILE: every detection event also lands in FILE as
-    // JSONL (append mode, so a resumed run continues its record — the
-    // same convention as a resumed watch's --journal). The sink stays
-    // attached through --serve so events emitted while serving land
-    // too; the guard detaches it on every exit path before the sink is
-    // destroyed (the bus outlives this frame).
+    // JSONL (append mode, so a resumed run continues its record). The
+    // sink stays attached through --serve so events emitted while
+    // serving land too; the guard detaches it on every exit path before
+    // the sink is destroyed (the bus outlives this frame).
     struct EventSinkGuard {
       obs::JsonlEventSink sink;
       bool attached = false;
@@ -1773,7 +1718,7 @@ int main(int argc, char** argv) {
     // Read-only commands take --lineage as an INPUT path instead; they
     // must not open it for appending.
     const bool lineage_is_input =
-        cmd == "explain" || cmd == "lineage" || cmd == "blackbox";
+        cmd == "explain" || cmd == "replay" || cmd == "blackbox";
     struct LineageLogGuard {
       bool attached = false;
       ~LineageLogGuard() {
@@ -1832,30 +1777,21 @@ int main(int argc, char** argv) {
     // Live introspection plane: --status-port N (or FENRIR_STATUS_PORT)
     // serves /metrics /healthz /status /profile while the command runs.
     obs::HttpServer server;
-    std::string port_spec = args.get("--status-port", "");
-    if (port_spec.empty()) {
-      if (const char* env = std::getenv("FENRIR_STATUS_PORT")) {
-        port_spec = env;
-      }
+    std::optional<std::size_t> status_port;
+    if (args.has("--status-port")) {
+      status_port = parse_count(args, "--status-port", 0, 0, 65535);
+    } else if (const char* env = std::getenv("FENRIR_STATUS_PORT");
+               env != nullptr && *env != '\0') {
+      status_port = in_range(
+          parse_number<std::size_t>(env, "FENRIR_STATUS_PORT"),
+          "FENRIR_STATUS_PORT", 0, 65535);
     }
-    const bool want_server = !port_spec.empty();
-    if (want_server) {
-      long port = -1;
-      try {
-        port = std::stol(port_spec);
-      } catch (const std::exception&) {
-        port = -1;  // falls into the range check → usage error
-      }
-      if (port < 0 || port > 65535) {
-        std::cerr << "fenrirctl: bad status port '" << port_spec << "'\n";
-        return 2;
-      }
-      if (server.start(static_cast<std::uint16_t>(port))) {
-        if (const auto path = args.get("--status-port-file", "");
-            !path.empty()) {
-          std::ofstream out(path);
-          out << server.port() << "\n";
-        }
+    if (status_port &&
+        server.start(static_cast<std::uint16_t>(*status_port))) {
+      if (const auto path = args.get("--status-port-file", "");
+          !path.empty()) {
+        std::ofstream out(path);
+        out << server.port() << "\n";
       }
     }
 
