@@ -447,8 +447,8 @@ bool PackedSeries::delta_between_bounded(std::size_t from, std::size_t to,
 namespace {
 
 // The per-entry body of apply_delta with the other row's width resolved
-// once; the matrix's append loop calls this |Δ| times per cached pair,
-// so a per-entry width dispatch would dominate the patch itself.
+// once; a patch runs this |Δ| times per cached pair, so a per-entry
+// width dispatch would dominate the patch itself.
 template <typename T>
 void apply_delta_typed(const T* row_b, std::span<const DeltaEntry> delta,
                        std::int64_t& d_matches, std::int64_t& d_known) {

@@ -195,23 +195,6 @@ class PackedSeries {
 #endif
   }
 
-  /// Hint-prefetches the lines apply_delta will read in row @p row_b.
-  /// The matrix's fill loop issues this a couple of pairs ahead so the
-  /// patch's random reads overlap in the memory system instead of
-  /// serialising one cache miss per entry.
-  void prefetch_delta(std::size_t row_b,
-                      std::span<const DeltaEntry> delta) const {
-    if (row_b >= rows_) return;
-    const std::byte* b = row_ptr(row_b);
-#if defined(__GNUC__) || defined(__clang__)
-    for (const DeltaEntry& d : delta) {
-      __builtin_prefetch(b + static_cast<std::size_t>(d.index) * width_, 0, 1);
-    }
-#else
-    (void)b;
-#endif
-  }
-
  private:
   friend MatchCounts apply_delta(MatchCounts, std::span<const DeltaEntry>,
                                  const PackedSeries&, std::size_t);
@@ -244,15 +227,17 @@ class PackedSeries {
 
 /// Patches counts(prev, b) into counts(cur, b) given the change-set
 /// delta_between(prev, cur): O(|Δ|) with one random access into row
-/// @p row_b per entry. Exact integer arithmetic — bit-identical Φ.
+/// @p row_b per entry. Exact integer arithmetic — bit-identical Φ. The
+/// matrix fills through the prepared form below; this plain patch is
+/// the reference the property tests and BM_GowerDelta hold it to.
 MatchCounts apply_delta(MatchCounts base, std::span<const DeltaEntry> delta,
                         const PackedSeries& series, std::size_t row_b);
 
 /// A change-set pre-classified by endpoint known-ness. Whether `before`
 /// or `after` equals kUnknownSite does not depend on the column being
 /// patched, yet apply_delta re-tests both per entry per column. The
-/// batch append classifies each planned row once and replays the
-/// prepared form across every column:
+/// matrix's append planner classifies each planned row once and
+/// replays the prepared form across every column:
 ///  - both endpoints known: mutual_known provably cancels (-known +known)
 ///    and only match membership can move — two compares per entry;
 ///  - before unknown → after known: the pair can only gain, one compare

@@ -82,13 +82,14 @@ PhiMetrics& phi_metrics() {
           "delta-path row"),
       obs::registry().histogram(
           "fenrir_phi_append_seconds", obs::Histogram::duration_bounds(),
-          "wall time of one SimilarityMatrix::append row")};
+          "wall time of one SimilarityMatrix append chunk: one row per "
+          "append(), up to 64 rows per append_batch() chunk")};
   return m;
 }
 
-/// Times the whole append — every exit path — into the latency
+/// Times one append chunk — every exit path — into the latency
 /// histogram the /metrics/history p99 series is built from. Two clock
-/// reads per row, noise next to the row's own O(i) work.
+/// reads per chunk, noise next to the chunk's own O(k·i) work.
 struct AppendTimer {
   obs::Histogram& histogram;
   std::chrono::steady_clock::time_point start =
@@ -387,127 +388,28 @@ std::vector<std::size_t> SimilarityMatrix::anchor_chain(
 }
 
 void SimilarityMatrix::append(const RoutingVector& v) {
+  append_batch(std::span(&v, 1));
+}
+
+void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
   if (packed_.rows() != n_) {
     throw std::logic_error(
         "SimilarityMatrix::append: matrix was not built incrementally "
         "(compute_reference matrices are read-only)");
   }
-  if (!weights_.empty() && v.assignment.size() != weights_.size()) {
-    throw std::invalid_argument("SimilarityMatrix: weight size mismatch");
-  }
-  const std::size_t i = n_;
-  packed_.append(v);  // also rejects size mismatches against earlier rows
-  n_ += 1;
-  values_.push_row();
-  valid_.push_back(v.valid ? 1 : 0);
-  anchor_of_.resize(n_, kNoAnchorRow);
-  append_clock_ += 1;
-  PhiMetrics& metrics = phi_metrics();
-  metrics.appends.inc();
-  AppendTimer timer(metrics.append_seconds);
-  const bool weighted = !weights_.empty();
-  if (!v.valid) {
-    // The slot keeps its timeline position. Anchors stay alive — their
-    // chained bounds extend through the slot below — but their counts
-    // rows need a placeholder so column indices keep lining up.
-    for (AnchorRow& a : recent_) a.counts.emplace_back();
-    for (AnchorRow& a : representatives_) a.counts.emplace_back();
-    if (i > 0 && !weighted && (!recent_.empty() || !representatives_.empty())) {
-      const std::size_t step = packed_.delta_between(i - 1, i).size();
-      for (AnchorRow& a : recent_) a.est_delta = sat_add(a.est_delta, step);
-      for (AnchorRow& a : representatives_) {
-        a.est_delta = sat_add(a.est_delta, step);
-      }
+  // Validate the whole batch before any row is packed, so a bad row
+  // anywhere in it leaves the matrix exactly as it was.
+  const std::size_t nets =
+      packed_.rows() > 0 || packed_.networks() > 0 || batch.empty()
+          ? packed_.networks()
+          : batch.front().assignment.size();
+  for (const RoutingVector& v : batch) {
+    if (!weights_.empty() && v.assignment.size() != weights_.size()) {
+      throw std::invalid_argument("SimilarityMatrix: weight size mismatch");
     }
-    return;
-  }
-
-  const std::size_t nets = packed_.networks();
-  double* vrow = values_.owned_row(i);  // new rows are always owned
-
-  std::vector<DeltaEntry> delta;
-  bool chose_rep = false;
-  AnchorRow* chosen =
-      weighted ? nullptr : select_anchor(i, delta, chose_rep);
-  const bool use_delta = chosen != nullptr;
-  // Chain lineage before the representative refresh below reassigns
-  // chosen->row to i.
-  if (use_delta) anchor_of_[i] = chosen->row;
-
-  std::vector<MatchCounts> row(i + 1);
-  const AnchorRow* anchor = chosen;  // stable across the parallel fill
-  auto fill_column = [&](std::size_t j) {
-    if (!valid_[j]) return;
-    if (weighted) {
-      vrow[j] = phi_from_weighted(
-          packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
-      return;
+    if (v.assignment.size() != nets) {
+      throw std::invalid_argument("SimilarityMatrix: vector size mismatch");
     }
-    MatchCounts c;
-    if (use_delta && j < i) {
-      // Overlap the next pair's random reads with this pair's patch; the
-      // patch is otherwise bound by one serialised miss per delta entry.
-      if (j + 2 < i && valid_[j + 2]) packed_.prefetch_delta(j + 2, delta);
-      c = apply_delta(anchor->counts[j], delta, packed_, j);
-    } else {
-      c = packed_.counts(i, j);  // diagonal, or kernel-path row
-    }
-    row[j] = c;
-    vrow[j] = phi_from_counts(c, nets, policy_);
-  };
-
-  // The grain makes small rows skip pool dispatch entirely (a delta row
-  // over a short matrix is microseconds of work — a pool wakeup costs
-  // more than it saves); the cutoff affects time only, never values.
-  const std::size_t per_pair = use_delta ? delta.size() + 1 : nets;
-  parallel_for(i + 1, fill_column, threads_,
-               std::max<std::size_t>(
-                   1, 65536 / std::max<std::size_t>(per_pair, 1)));
-
-  if (weighted) return;
-
-  // Every anchor learns its counts against the new row "for free":
-  // counts(a, i) = counts(i, a), which the row just computed.
-  for (AnchorRow& a : recent_) a.counts.push_back(row[a.row]);
-  for (AnchorRow& a : representatives_) a.counts.push_back(row[a.row]);
-
-  // A representative that explained this row re-anchors to it: the
-  // anchor tracks the mode's *latest* state, so the next return pays
-  // only the away-gap churn. Left at its original row, every
-  // representative would drift toward the density threshold as the mode
-  // churns and recurrence would decay back to kernel rows.
-  if (chose_rep && !delta.empty()) {
-    chosen->row = i;
-    chosen->counts = row;  // exact counts(i, ·), just computed
-    chosen->est_delta = 0;
-    metrics.anchor_refreshes.inc();
-  }
-
-  // A kernel-fallback row is a routing state no anchor explained — the
-  // online analogue of ModeBook registering a new mode — so it becomes
-  // a representative anchor before the recency window rolls it out.
-  AnchorRow fresh;
-  fresh.row = i;
-  fresh.est_delta = 0;
-  fresh.last_used = append_clock_;
-  if (!use_delta && representative_limit_ > 0) {
-    AnchorRow rep = fresh;
-    rep.counts = row;
-    pin_representative(std::move(rep));
-  }
-  if (recent_limit_ > 0) {
-    fresh.counts = std::move(row);
-    recent_.push_back(std::move(fresh));
-    while (recent_.size() > recent_limit_) recent_.pop_front();
-  }
-}
-
-void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
-  // Weighted matrices carry no cached counts to batch over — and the
-  // one-row batch has nothing to amortize.
-  if (!weights_.empty() || batch.size() == 1) {
-    for (const RoutingVector& v : batch) append(v);
-    return;
   }
   // Chunking bounds the transient per-row counts at ~kChunk·T entries
   // while keeping enough rows in flight for the column-outer fill to
@@ -519,21 +421,19 @@ void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
 }
 
 void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
-  if (packed_.rows() != n_) {
-    throw std::logic_error(
-        "SimilarityMatrix::append: matrix was not built incrementally "
-        "(compute_reference matrices are read-only)");
-  }
   const std::size_t n0 = n_;
   const std::size_t k = batch.size();
-  if (k == 0) return;
+  const bool weighted = !weights_.empty();
   PhiMetrics& metrics = phi_metrics();
   AppendTimer timer(metrics.append_seconds);  // one sample per chunk
 
   // Pass 0: pack every row and grow the value/validity stores, so the
-  // planning pass can probe any batch row. One reservation up front —
-  // a mid-loop reallocation would copy the whole packed store.
-  reserve(n0 + k);
+  // planning pass can probe any batch row. A multi-row chunk reserves
+  // once up front — a mid-loop reallocation would copy the whole packed
+  // store. A one-row chunk (every append()) must not: an exact reserve
+  // per row defeats geometric growth and copies the packed store and
+  // the triangle on every append, quadratic over a watch stream.
+  if (k > 1) reserve(n0 + k);
   for (const RoutingVector& v : batch) {
     packed_.append(v);
     valid_.push_back(v.valid ? 1 : 0);
@@ -542,12 +442,13 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   n_ = n0 + k;
   anchor_of_.resize(n_, kNoAnchorRow);
 
-  // Pass A: sequential anchor planning — the exact selection sequence an
-  // append() loop would run (selection never reads anchor counts, only
-  // the chained bounds and packed rows, so the fills can be deferred).
-  // Counts-carrying bookkeeping is deferred to pass C; an anchor
-  // created or refreshed during the batch is recognizable there by its
-  // in-batch row id.
+  // Pass A: sequential anchor planning, row by row in arrival order
+  // (selection never reads anchor counts, only the chained bounds and
+  // packed rows, so the fills can be deferred). Counts-carrying
+  // bookkeeping is deferred to pass C; an anchor created or refreshed
+  // during the chunk is recognizable there by its in-chunk row id.
+  // Weighted rows are always kernel rows with no anchors: delta
+  // patching would reorder the double additions and break bit-identity.
   struct RowPlan {
     enum class Path { kInvalid, kKernel, kDelta } path = Path::kInvalid;
     std::size_t base = 0;  // global row id of the chosen anchor
@@ -575,6 +476,10 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       }
       continue;
     }
+    if (weighted) {
+      plan[r].path = RowPlan::Path::kKernel;
+      continue;
+    }
     bool chose_rep = false;
     std::vector<DeltaEntry> delta;
     AnchorRow* chosen = select_anchor(i, delta, chose_rep);
@@ -590,14 +495,21 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       plan[r].delta = std::move(delta);
       plan[r].prep = prepare_delta(plan[r].delta);
       if (chose_rep && !plan[r].delta.empty()) {
-        // Representative refresh, counts deferred: the new row id is
-        // what pass C rebuilds the counts from.
+        // A representative that explained this row re-anchors to it:
+        // the anchor tracks the mode's *latest* state, so the next
+        // return pays only the away-gap churn. Left at its original row,
+        // every representative would drift toward the density threshold
+        // as the mode churns. Counts deferred: the new row id is what
+        // pass C rebuilds them from.
         chosen->row = i;
         chosen->est_delta = 0;
         metrics.anchor_refreshes.inc();
       }
     } else {
       plan[r].path = RowPlan::Path::kKernel;
+      // A kernel-fallback row is a routing state no anchor explained —
+      // the online analogue of ModeBook registering a new mode — so it
+      // becomes a representative before the recency window rolls it out.
       if (representative_limit_ > 0) {
         AnchorRow rep;
         rep.row = i;
@@ -616,21 +528,27 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
     }
   }
 
+  // Weighted Φ has no integer counts: kernel rows write it straight off
+  // weighted_counts (new row first) and keep no counts row.
+  const auto weighted_phi = [&](std::size_t i, std::size_t j) {
+    values_.owned_row(i)[j] = phi_from_weighted(
+        packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
+  };
   const std::size_t nets = packed_.networks();
   std::vector<std::vector<MatchCounts>> row_counts(k);
   std::size_t per_col = 1;
   for (std::size_t r = 0; r < k; ++r) {
     if (plan[r].path == RowPlan::Path::kInvalid) continue;
-    row_counts[r].resize(n0 + r + 1);
+    if (!weighted) row_counts[r].resize(n0 + r + 1);
     per_col +=
         plan[r].path == RowPlan::Path::kDelta ? plan[r].delta.size() + 1 : nets;
   }
 
   // Pass B1: columns against the pre-batch rows, column-outer — row j's
   // packed bytes are loaded once and stay cache-hot across every batch
-  // row's patch, instead of being re-fetched k times as the append()
-  // loop would. In-batch bases (predecessor chains) resolve within the
-  // same column: base row r' < r was patched earlier in the inner loop.
+  // row's patch, instead of being re-fetched once per appended row. In-
+  // batch bases (predecessor chains) resolve within the same column:
+  // base row r' < r was patched earlier in the inner loop.
   auto fill_old = [&](std::size_t j) {
     if (!valid_[j]) return;
     packed_.prefetch_row(j + 1 < n0 ? j + 1 : j);
@@ -639,6 +557,10 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       const RowPlan& p = plan[r];
       if (p.path == RowPlan::Path::kInvalid) continue;
       const std::size_t i = n0 + r;
+      if (weighted) {
+        weighted_phi(i, j);
+        continue;
+      }
       MatchCounts c;
       if (p.path == RowPlan::Path::kDelta) {
         const MatchCounts base =
@@ -651,6 +573,9 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       values_.owned_row(i)[j] = phi_from_counts(c, nets, policy_);
     }
   };
+  // The grain makes small rows skip pool dispatch entirely (a delta row
+  // over a short matrix is microseconds of work — a pool wakeup costs
+  // more than it saves); the cutoff affects time only, never values.
   parallel_for(n0, fill_old, threads_,
                std::max<std::size_t>(1, 65536 / per_col));
 
@@ -666,29 +591,32 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
     for (std::size_t s = 0; s <= r; ++s) {
       const std::size_t j = n0 + s;
       if (!valid_[j]) continue;
+      if (weighted) {
+        weighted_phi(i, j);
+        continue;
+      }
       MatchCounts c;
-      if (s == r) {
-        c = packed_.counts(i, i);  // diagonal, exactly as append()
-      } else if (p.path == RowPlan::Path::kDelta) {
+      if (p.path == RowPlan::Path::kDelta && s != r) {
         const std::size_t b = p.base;
         const MatchCounts base = (b >= n0 && b - n0 > s)
                                      ? row_counts[b - n0][j]
                                      : row_counts[s][b];
         c = apply_prepared(base, p.prep, packed_, j);
       } else {
-        c = packed_.counts(i, j);
+        c = packed_.counts(i, j);  // diagonal, or kernel-path row
       }
       row_counts[r][j] = c;
       vrow[j] = phi_from_counts(c, nets, policy_);
     }
   }
 
-  // Pass C: anchor counts catch up with the batch. An anchor whose row
-  // id is in-batch was created or refreshed there — its counts are that
+  // Pass C: anchor counts catch up with the chunk. An anchor whose row
+  // id is in-chunk was created or refreshed there — its counts are that
   // row's computed counts, extended by the later rows; a pre-batch
-  // anchor extends its existing counts by one entry per batch row
+  // anchor extends its existing counts by one entry per chunk row
   // (counts(a, i_r) = counts(i_r, a), just computed — invalid rows get
-  // the usual never-read placeholder).
+  // the usual never-read placeholder). Like pass 0, only a multi-row
+  // chunk reserves.
   const auto rebuild = [&](AnchorRow& a) {
     std::size_t from = 0;
     if (a.row >= n0) {
@@ -696,7 +624,7 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       a.counts = row_counts[r0];
       from = r0 + 1;
     }
-    a.counts.reserve(n0 + k);
+    if (k > 1) a.counts.reserve(n0 + k);
     for (std::size_t r = from; r < k; ++r) {
       a.counts.push_back(batch[r].valid ? row_counts[r][a.row]
                                         : MatchCounts{});

@@ -7,8 +7,8 @@
 // blank and are excluded from clustering, matching the paper's blank
 // 2023-07..12 band in Figure 3.
 //
-// Construction is incremental: append() computes exactly the one new
-// row, choosing per row between
+// Construction is incremental: each appended row computes exactly its
+// own new Φ values, choosing per row between
 //   * the packed kernels (compare_kernels.h) — O(N) per pair but SIMD-
 //     dense,
 //   * delta patching from an *anchor* — O(|Δ|) per pair from a cached
@@ -25,19 +25,21 @@
 // vectors: |Δ(t, anchor)| ≤ Σ|Δ| of the per-step change sets along the
 // chain between them (triangle inequality over Hamming distance), a
 // running sum each anchor maintains. Only when every chained bound
-// misses the kDeltaDensityThreshold does append() probe anchors with
+// misses the kDeltaDensityThreshold does the planner probe anchors with
 // one exact O(N) change-set scan each — still far cheaper than the
 // O(T·N) kernel row — and it falls back to the packed kernels when no
 // probe clears the threshold either. Delta patching applies to
 // unweighted Φ only (weighted Φ would have to reorder double additions
 // to go fast, which breaks bit-identity).
 //
-// compute() is an append() loop, so batch analysis, `fenrirctl watch`,
-// and ModeBook share one code path; every path is bit-identical to the
-// scalar reference (compute_reference), which the property tests
-// enforce. Path choice and realized savings are exported as
-// fenrir_phi_* / fenrir_phi_anchor_* metrics (observation only — never
-// a result input).
+// One planner adds every row: append_batch() plans anchors in arrival
+// order and fills in chunks, append() is append_batch() of one row, and
+// compute() is append_batch() over the whole series — so batch
+// analysis, `fenrirctl watch`, warm caches and campaign folds share one
+// code path, bit-identical to the scalar reference (compute_reference),
+// which the property tests enforce. Path choice and realized savings
+// are exported as fenrir_phi_* / fenrir_phi_anchor_* metrics
+// (observation only — never a result input).
 #pragma once
 
 #include <cstddef>
@@ -147,7 +149,7 @@ class TriangleStore {
 
 class SimilarityMatrix {
  public:
-  /// Churn fraction |Δ|/N at or below which append() patches an
+  /// Churn fraction |Δ|/N at or below which a new row patches an
   /// anchor's cached counts instead of re-scanning packed rows. Delta
   /// patching touches ~|Δ| random elements per pair versus N sequential
   /// SIMD lanes, so the break-even sits well below the SIMD width.
@@ -164,8 +166,8 @@ class SimilarityMatrix {
   static constexpr std::size_t kMaxRepresentativeAnchors = 32;
 
   /// Computes Φ for all pairs of @p dataset.series (weights from the
-  /// dataset; uniform if empty) by appending one row at a time. Each
-  /// row parallelizes over its columns with @p threads workers (0 =
+  /// dataset; uniform if empty) as one append_batch(). Each chunk
+  /// parallelizes over its columns with @p threads workers (0 =
   /// hardware concurrency, 1 = serial); the result is bit-identical for
   /// any thread count and to compute_reference().
   static SimilarityMatrix compute(
@@ -187,25 +189,27 @@ class SimilarityMatrix {
                             std::vector<double> weights = {},
                             unsigned threads = 1);
 
-  /// Appends one observation, computing only the new row: O(T·N) on the
-  /// packed kernels, O(T·|Δ|) when the vector is a sparse change set
-  /// against some anchor. A matrix grown by append() is bit-identical
-  /// to compute() over the same series — this is what keeps
-  /// `fenrirctl watch` at O(T·Δ) per tick instead of O(T²·N).
+  /// Appends one observation — append_batch() of one row — computing
+  /// only the new row: O(T·N) on the packed kernels, O(T·|Δ|) when the
+  /// vector is a sparse change set against some anchor. A matrix grown
+  /// by append() is bit-identical to compute() over the same series —
+  /// this is what keeps `fenrirctl watch` at O(T·Δ) per tick instead of
+  /// O(T²·N).
   void append(const RoutingVector& v);
 
-  /// Appends @p batch observations at once. Produces exactly the same
-  /// matrix as an append() loop over the same vectors (bit-identical —
-  /// every route to a row's counts is exact integer arithmetic, so path
-  /// choice affects time only), but restructures the work for locality:
-  /// anchor selection runs first for the whole batch, then the columns
-  /// against the existing rows fill column-outer — each old packed row
-  /// is loaded once and patched against every batch row while it is
-  /// cache-hot, instead of being re-fetched once per appended row — and
-  /// the batch×batch corner fills row-major off the already-computed
-  /// counts. Ingest paths that buffer observations (`fenrirctl analyze
-  /// --matrix-cache` warm appends, Campaign epoch folds) and compute() route through this. Weighted matrices fall
-  /// back to the plain append loop (no cached counts to batch).
+  /// Appends @p batch observations at once — the one row planner.
+  /// Produces exactly the same matrix as appending the vectors one at a
+  /// time (bit-identical — every route to a row's counts is exact
+  /// integer arithmetic, so path choice and chunking affect time only),
+  /// but restructures the work for locality: anchor selection runs
+  /// first for each chunk of up to 64 rows, then the columns against
+  /// the existing rows fill column-outer — each old packed row is
+  /// loaded once and patched against every chunk row while it is
+  /// cache-hot — and the chunk×chunk corner fills row-major off the
+  /// already-computed counts. Weighted rows are always kernel rows
+  /// (no anchors, no delta). Every row is validated before any is
+  /// added: on std::invalid_argument (network count or weight size
+  /// mismatch) the matrix is unchanged.
   void append_batch(std::span<const RoutingVector> batch);
 
   /// Pre-sizes the packed store, value triangle, and validity bits for
@@ -246,7 +250,7 @@ class SimilarityMatrix {
   static constexpr std::size_t kNoAnchorRow =
       static_cast<std::size_t>(-1);
 
-  /// The anchor chain append()/append_batch() walked ingesting @p row:
+  /// The anchor chain the planner walked ingesting @p row:
   /// the row it delta-patched from first, then that row's own base, and
   /// so on, up to @p max_depth entries. Empty for kernel-fallback rows
   /// and rows loaded from a snapshot (chains are observation-only
@@ -347,7 +351,7 @@ class SimilarityMatrix {
   AnchorRow* find_anchor(std::size_t row);
   void pin_representative(AnchorRow anchor);
 
-  /// Shared head of append()/append_batch() for unweighted matrices:
+  /// The planner's per-row anchor choice (unweighted matrices only):
   /// extends every anchor's chained bound by row @p i's step change set,
   /// picks the cheapest anchor (chained bound → bounded probes →
   /// nullptr = kernel fallback), and records the per-row path metrics.
@@ -359,9 +363,9 @@ class SimilarityMatrix {
                            bool& chose_rep);
 
   /// One append_batch() chunk (bounded so the transient per-row counts
-  /// stay a few MB): plan anchors sequentially, fill old columns
-  /// column-outer, fill the corner row-major, then rebuild/extend the
-  /// anchor counts from the computed rows.
+  /// stay a few MB; already validated): plan anchors sequentially, fill
+  /// old columns column-outer, fill the corner row-major, then
+  /// rebuild/extend the anchor counts from the computed rows.
   void append_chunk(std::span<const RoutingVector> batch);
 
   std::size_t n_ = 0;

@@ -49,9 +49,14 @@ inline std::uint32_t payload_checksum(const void* data, std::size_t size) {
     h[2] = mix(h[2], w[2]);
     h[3] = mix(h[3], w[3]);
   }
+  // The 0–31 tail bytes OR-fold into one word, byte k at bit 8·(k mod
+  // 8): the shift x86 performed for the original `<< (8 * k)`, which is
+  // undefined for k ≥ 8. Pinned so every on-disk checksum keeps its
+  // value; tail bytes 8+ therefore share bits with earlier ones and are
+  // only weakly covered (a stronger fold would change the format).
   std::uint64_t tail = 0;
   for (int k = 0; i < size; ++i, ++k) {
-    tail |= static_cast<std::uint64_t>(p[i]) << (8 * k);
+    tail |= static_cast<std::uint64_t>(p[i]) << (8 * (k & 7));
   }
   h[0] = mix(h[0], tail);
   std::uint64_t out = mix(mix(mix(h[0], h[1]), h[2]), h[3]) ^
@@ -182,7 +187,9 @@ struct Reader {
   }
   void get_bytes(void* dst, std::size_t k) {
     need(k);
-    std::memcpy(dst, p + off, k);
+    // An empty section's destination may be a null data() pointer,
+    // which memcpy must not receive even for zero bytes.
+    if (k > 0) std::memcpy(dst, p + off, k);
     off += k;
   }
   /// Bulk read of @p count little-endian 8-byte words — the decode-side

@@ -441,8 +441,10 @@ void Campaign::finish_sweep() {
   // Event order within a sweep: breaker transitions (emitted by
   // update_health above) first, then the sweep summary — deterministic,
   // so an event JSONL of a killed campaign is a line prefix of the
-  // uninterrupted run's (modulo ts).
-  obs::event_bus().emit_with(obs::Severity::kInfo, "sweep_completed", [&] {
+  // uninterrupted run's (modulo ts). A record, never deduplicated: the
+  // log holds one summary per sweep however fast the sweeps run.
+  obs::event_bus().emit_record_with(obs::Severity::kInfo, "sweep_completed",
+                                    [&] {
     const SweepReport& r = tally_;
     std::ostringstream os;
     os << "\"sweep\":" << r.sweep << ",\"start\":" << r.start

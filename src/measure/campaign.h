@@ -229,9 +229,10 @@ QuorumMerge merge_quorum(std::span<const core::RoutingVector> views);
 /// merged series, or any buffered slice of either — into the all-pairs
 /// Φ matrix through SimilarityMatrix::append_batch(): one batched fold
 /// instead of per-epoch appends, so anchor selection and the packed-row
-/// column fills amortize across the whole slice. Bit-identical to an
-/// append() loop (and to compute() over a Dataset carrying the same
-/// series); @p weights / @p threads as in SimilarityMatrix::compute().
+/// column fills amortize across the whole slice. Bit-identical to
+/// per-epoch append() calls (and to compute() over a Dataset carrying
+/// the same series); @p weights / @p threads as in
+/// SimilarityMatrix::compute().
 core::SimilarityMatrix fold_phi(
     std::span<const core::RoutingVector> series,
     core::UnknownPolicy policy = core::UnknownPolicy::kPessimistic,

@@ -98,18 +98,12 @@ EventBus::EventBus(const Config& config) : config_(config) {
 
 std::uint64_t EventBus::emit(Severity severity, std::string_view type,
                              std::string fields) {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seq = 0;
-  if (DedupState* state = admit_locked(severity, type)) {
-    seq = keep_locked(*state, severity, type, std::move(fields));
-  }
-  lock.unlock();
-  if (seq != 0) cv_.notify_all();
-  return seq;
+  return emit_with(severity, type, [&] { return std::move(fields); });
 }
 
 EventBus::DedupState* EventBus::admit_locked(Severity severity,
-                                             std::string_view type) {
+                                             std::string_view type,
+                                             bool limited) {
   const auto now = std::chrono::steady_clock::now();
   auto it = dedup_.find(type);
   if (it == dedup_.end()) {
@@ -122,8 +116,9 @@ EventBus::DedupState* EventBus::admit_locked(Severity severity,
     state.window_start = now;
     state.kept_in_window = 0;
   }
-  // The limiter only ever swallows chatter: warn and alert always land.
-  if (severity < Severity::kWarn &&
+  // The limiter only ever swallows chatter: warn and alert always land,
+  // and so do records.
+  if (limited && severity < Severity::kWarn &&
       state.kept_in_window >= config_.dedup_burst) {
     ++state.suppressed_pending;
     ++suppressed_;

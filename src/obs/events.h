@@ -21,8 +21,10 @@
 //     severity < warn are *suppressed* (counted, not ringed — the count
 //     rides on the next kept event of that type as "suppressed").
 //     Severity ≥ warn is NEVER suppressed — an alert storm is still an
-//     alert. Suppressed events consume no sequence number, which is
-//     what keeps kept seqs gap-free;
+//     alert — and neither is a *record* (emit_record_with): one event
+//     per unit of work, such as a campaign's per-sweep summary, that a
+//     replayed log must hold in full. Suppressed events consume no
+//     sequence number, which is what keeps kept seqs gap-free;
 //   * pluggable sinks: JsonlEventSink appends one JSON object per line
 //     through obs::Journal (torn-tail-tolerant framing shared with the
 //     lineage log, so a killed process leaves a valid prefix), and
@@ -135,14 +137,16 @@ class EventBus {
   template <typename BuildFn>
   std::uint64_t emit_with(Severity severity, std::string_view type,
                           BuildFn&& build) {
-    std::unique_lock<std::mutex> lock(mu_);
-    std::uint64_t seq = 0;
-    if (DedupState* state = admit_locked(severity, type)) {
-      seq = keep_locked(*state, severity, type, build());
-    }
-    lock.unlock();
-    if (seq != 0) cv_.notify_all();
-    return seq;
+    return emit_built(severity, type, /*limited=*/true, build);
+  }
+
+  /// Like emit_with(), but the dedup limiter never suppresses it, at
+  /// any severity: for records a log must hold one of per unit of work
+  /// (Campaign's per-sweep `sweep_completed`), however fast they come.
+  template <typename BuildFn>
+  std::uint64_t emit_record_with(Severity severity, std::string_view type,
+                                 BuildFn&& build) {
+    return emit_built(severity, type, /*limited=*/false, build);
   }
 
   /// Events with seq > @p after_seq that pass the filters, oldest
@@ -190,10 +194,25 @@ class EventBus {
     std::uint64_t suppressed_pending = 0;
   };
 
-  /// Runs the dedup limiter for (@p severity, @p type) under mu_.
-  /// Returns the type's dedup record when the event is to be kept,
-  /// nullptr when it was suppressed (already counted).
-  DedupState* admit_locked(Severity severity, std::string_view type);
+  template <typename BuildFn>
+  std::uint64_t emit_built(Severity severity, std::string_view type,
+                           bool limited, BuildFn& build) {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::uint64_t seq = 0;
+    if (DedupState* state = admit_locked(severity, type, limited)) {
+      seq = keep_locked(*state, severity, type, build());
+    }
+    lock.unlock();
+    if (seq != 0) cv_.notify_all();
+    return seq;
+  }
+
+  /// Runs the dedup limiter for (@p severity, @p type) under mu_; an
+  /// event that is not @p limited is always admitted. Returns the
+  /// type's dedup record when the event is to be kept, nullptr when it
+  /// was suppressed (already counted).
+  DedupState* admit_locked(Severity severity, std::string_view type,
+                           bool limited);
   /// Assigns the next seq, fills the ring slot, and feeds the sinks.
   std::uint64_t keep_locked(DedupState& state, Severity severity,
                             std::string_view type, std::string&& fields);

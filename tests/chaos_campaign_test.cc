@@ -643,6 +643,35 @@ TEST(Campaign, EventLogOfKilledCampaignIsPrefixOfUninterruptedLog) {
   std::remove(killed_path.c_str());
 }
 
+TEST(Campaign, EventLogKeepsEverySweepSummary) {
+  // A fast campaign runs far more sweeps per dedup window than the
+  // limiter's burst (32 per 10 s): every one must still leave its
+  // sweep_completed summary, in order, with none suppressed.
+  constexpr std::size_t kSweeps = 45;
+  const FnProber p = steady_prober(4);
+  const std::string path = ::testing::TempDir() + "fenrir_events_fast.jsonl";
+  std::remove(path.c_str());
+  {
+    obs::event_bus().reset();
+    obs::JsonlEventSink sink;
+    ASSERT_TRUE(sink.open(path, /*truncate=*/true));
+    obs::event_bus().add_sink(&sink);
+    Campaign c({&p}, fast_config());
+    c.run(kSweeps);
+    obs::event_bus().remove_sink(&sink);
+  }
+  const std::vector<std::string> summaries =
+      sweep_summaries(obs::read_journal(path));
+  ASSERT_EQ(summaries.size(), kSweeps);
+  for (std::size_t i = 0; i < kSweeps; ++i) {
+    EXPECT_NE(summaries[i].find("\"sweep\":" + std::to_string(i) + ","),
+              std::string::npos)
+        << summaries[i];
+    EXPECT_EQ(summaries[i].find("suppressed"), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
 namespace {
 
 /// A prober whose sweep-level routing flips between two states, so a

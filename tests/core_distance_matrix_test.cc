@@ -288,7 +288,9 @@ TEST(SimilarityMatrixAnchors, AnchorLimitsAffectTimeOnly) {
 // across churn shapes, outage slots, policies, warm starts, and batch
 // sizes that cross the internal chunk boundary. Anchor bookkeeping
 // after the batch must also be equivalent: appends *after* a batch stay
-// identical too.
+// identical too. append() is append_batch() of one row, so loop against
+// batch alone would compare the planner with itself: both are also held
+// to the scalar reference.
 TEST(SimilarityMatrixBatch, BatchBitIdenticalToAppendLoop) {
   struct Case {
     Dataset d;
@@ -303,19 +305,23 @@ TEST(SimilarityMatrixBatch, BatchBitIdenticalToAppendLoop) {
   for (const Case& c : cases) {
     for (const auto policy :
          {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+      const auto ref = SimilarityMatrix::compute_reference(c.d, policy);
       SimilarityMatrix loop(policy, c.d.weights, 1);
       for (const RoutingVector& v : c.d.series) loop.append(v);
       SimilarityMatrix batch(policy, c.d.weights, 1);
       batch.append_batch(c.d.series);
-      expect_bit_identical(batch, loop, c.label + " one batch");
+      expect_bit_identical(loop, ref, c.label + " append loop");
+      expect_bit_identical(batch, ref, c.label + " one batch");
     }
   }
 }
 
 TEST(SimilarityMatrixBatch, WarmBatchAndPostBatchAppendsStayIdentical) {
   const Dataset d = periodic_dataset(48, 400, 8, 0.01, 17, 0.1);
+  const auto ref = SimilarityMatrix::compute_reference(d);
   SimilarityMatrix loop(UnknownPolicy::kPessimistic, d.weights, 1);
   for (const RoutingVector& v : d.series) loop.append(v);
+  expect_bit_identical(loop, ref, "append loop");
 
   // Warm start: 20 rows one at a time, a 16-row batch, then the tail
   // appended row-at-a-time again — the post-batch appends only agree if
@@ -325,7 +331,7 @@ TEST(SimilarityMatrixBatch, WarmBatchAndPostBatchAppendsStayIdentical) {
   mixed.append_batch(
       std::span(d.series).subspan(20, 16));
   for (std::size_t t = 36; t < d.series.size(); ++t) mixed.append(d.series[t]);
-  expect_bit_identical(mixed, loop, "warm batch");
+  expect_bit_identical(mixed, ref, "warm batch");
 
   // Degenerate batches.
   SimilarityMatrix tiny(UnknownPolicy::kPessimistic, d.weights, 1);
@@ -333,16 +339,92 @@ TEST(SimilarityMatrixBatch, WarmBatchAndPostBatchAppendsStayIdentical) {
   EXPECT_EQ(tiny.size(), 0u);
   tiny.append_batch(std::span(d.series).subspan(0, 1));
   EXPECT_EQ(tiny.size(), 1u);
-  EXPECT_EQ(tiny.phi(0, 0), loop.phi(0, 0));
+  EXPECT_EQ(tiny.phi(0, 0), ref.phi(0, 0));
 }
 
+// Weighted rows are kernel rows inside the one planner: row-at-a-time
+// appends, one batch crossing the chunk boundary, and a warm batch all
+// match the weighted scalar reference under both policies.
 TEST(SimilarityMatrixBatch, WeightedBatchFallsBackBitIdentical) {
-  const Dataset d = churn_dataset(16, 200, 0.05, 23, 0.1, 0.1, true);
-  SimilarityMatrix loop(UnknownPolicy::kKnownOnly, d.weights, 1);
-  for (const RoutingVector& v : d.series) loop.append(v);
-  SimilarityMatrix batch(UnknownPolicy::kKnownOnly, d.weights, 1);
-  batch.append_batch(d.series);
-  expect_bit_identical(batch, loop, "weighted batch");
+  const Dataset d = churn_dataset(80, 200, 0.05, 23, 0.1, 0.1, true);
+  for (const auto policy :
+       {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+    const auto ref = SimilarityMatrix::compute_reference(d, policy);
+    SimilarityMatrix loop(policy, d.weights, 1);
+    for (const RoutingVector& v : d.series) loop.append(v);
+    expect_bit_identical(loop, ref, "weighted append loop");
+    SimilarityMatrix batch(policy, d.weights, 3);
+    batch.append_batch(d.series);
+    expect_bit_identical(batch, ref, "weighted batch");
+    SimilarityMatrix warm(policy, d.weights, 1);
+    for (std::size_t t = 0; t < 10; ++t) warm.append(d.series[t]);
+    warm.append_batch(std::span(d.series).subspan(10));
+    expect_bit_identical(warm, ref, "weighted warm batch");
+  }
+}
+
+// One-row appends across outage slots — single gaps and runs of them —
+// exercise the planner's invalid-row bookkeeping (placeholder anchor
+// counts, chained bounds extended through the gap) one chunk at a time.
+TEST(SimilarityMatrixBatch, OneRowAppendsThroughOutagesMatchReference) {
+  struct Case {
+    Dataset d;
+    std::string label;
+  };
+  Case cases[] = {
+      {churn_dataset(60, 300, 0.01, 31, 0.3), "churn"},
+      {periodic_dataset(60, 300, 5, 0.01, 37, 0.3), "periodic"},
+      {churn_dataset(60, 300, 0.01, 41), "outage runs"},
+  };
+  for (std::size_t t = 10; t < 25; ++t) cases[2].d.series[t].valid = false;
+  for (const Case& c : cases) {
+    for (const auto policy :
+         {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+      const auto ref = SimilarityMatrix::compute_reference(c.d, policy);
+      for (const unsigned threads : {1u, 3u}) {
+        SimilarityMatrix m(policy, c.d.weights, threads);
+        for (const RoutingVector& v : c.d.series) m.append(v);
+        expect_bit_identical(m, ref,
+                             c.label + " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+// A batch is validated whole before any row is added: a bad row at any
+// position throws std::invalid_argument and leaves the matrix as it
+// was, so the next append works (instead of every later append tripping
+// over a half-packed batch).
+TEST(SimilarityMatrixBatch, RejectedBatchLeavesMatrixUnchanged) {
+  const Dataset d = churn_dataset(8, 50, 0.05, 43, 0.0, 0.1, true);
+  RoutingVector short_row = d.series[5];
+  short_row.assignment.pop_back();
+  const std::vector<RoutingVector> bad = {d.series[4], short_row};
+
+  for (const bool weighted : {false, true}) {
+    const std::vector<double> weights = weighted ? d.weights
+                                                 : std::vector<double>{};
+    Dataset want = d;
+    want.weights = weights;
+    want.series.resize(6);
+    const auto ref = SimilarityMatrix::compute_reference(want);
+
+    SimilarityMatrix m(UnknownPolicy::kPessimistic, weights, 1);
+    for (std::size_t t = 0; t < 4; ++t) m.append(d.series[t]);
+    EXPECT_THROW(m.append_batch(bad), std::invalid_argument);
+    EXPECT_EQ(m.size(), 4u);
+    EXPECT_NO_THROW(m.append(d.series[4]));
+    EXPECT_NO_THROW(m.append(d.series[5]));
+    expect_bit_identical(m, ref, weighted ? "weighted" : "unweighted");
+  }
+
+  // The first batch fixes the network count: a mismatch inside it is
+  // rejected before any row exists.
+  SimilarityMatrix fresh(UnknownPolicy::kPessimistic, {}, 1);
+  EXPECT_THROW(fresh.append_batch(bad), std::invalid_argument);
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_NO_THROW(fresh.append(short_row));
+  EXPECT_EQ(fresh.size(), 1u);
 }
 
 // Satellite regression: the chained/probed recent-anchor stage used to

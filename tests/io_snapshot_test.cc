@@ -14,6 +14,7 @@
 #include "core/distance_matrix.h"
 #include "core/modebook.h"
 #include "io/segment_store.h"
+#include "io/wire.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -338,6 +339,37 @@ TEST(SnapshotAtomicityDeathTest, KillMidSaveLeavesOldFileIntact) {
   std::ostringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(std::move(buf).str(), before);
+}
+
+
+// Every FENRSEG and FENRSNAP file carries payload_checksum values, so
+// the function is part of the format. These answers come from the
+// build that wrote the existing files (before the tail fold's shift
+// was made well-defined); a change here orphans every store on disk.
+// Sizes 0–40 cover the empty input, every tail length 1–31 — the
+// undefined-shift cases were tails of 9+ bytes — and one full 32-byte
+// block followed by tails of 0–8.
+TEST(PayloadChecksum, KnownAnswersForSizes0To40) {
+  constexpr std::uint32_t kWant[] = {
+      0x9C4046CDu, 0x9F80A2CDu, 0x588FC2D4u, 0x625FD4D4u,
+      0x9ABACF54u, 0x1A916899u, 0x0B91D861u, 0x0279B849u,
+      0xF93FCDD3u, 0xF6F12B73u, 0x72F10399u, 0x20CB5459u,
+      0x18051C6Eu, 0xFE74009Bu, 0xF1793589u, 0x6A54B7EEu,
+      0xC5D22E41u, 0xF259158Cu, 0x7E98B108u, 0xD7AE9C28u,
+      0xD7AE9C2Fu, 0xCBB2AD96u, 0x43126F03u, 0x43126F02u,
+      0xC9F85C56u, 0xF10164EFu, 0xF10164ECu, 0xF10164EDu,
+      0xF10164EAu, 0xF10164EBu, 0xF10164E8u, 0xF10164E9u,
+      0xD1D03F99u, 0x066DAF42u, 0x568C78D9u, 0x76915780u,
+      0x9D17CC1Bu, 0x9685BB2Au, 0xC69EF82Cu, 0x5BA1C52Cu,
+      0x3F4CB0E3u,
+  };
+  unsigned char buf[40];
+  for (std::size_t i = 0; i < sizeof(buf); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  for (std::size_t n = 0; n <= sizeof(buf); ++n) {
+    EXPECT_EQ(wire::payload_checksum(buf, n), kWant[n]) << "size " << n;
+  }
 }
 
 }  // namespace

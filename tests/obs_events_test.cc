@@ -150,6 +150,21 @@ TEST(EventBus, WarnAndAlertAreNeverSuppressed) {
   }
 }
 
+TEST(EventBus, RecordsAreNeverSuppressed) {
+  EventBus::Config cfg;
+  cfg.dedup_burst = 1;
+  cfg.dedup_window_seconds = 3600.0;
+  EventBus bus(cfg);
+  const auto fields = [] { return std::string("\"sweep\":1"); };
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_NE(bus.emit_record_with(Severity::kInfo, "summary", fields), 0u);
+  }
+  // Chatter of the same type still meets the spent budget.
+  EXPECT_EQ(bus.emit_with(Severity::kInfo, "summary", fields), 0u);
+  EXPECT_EQ(bus.last_seq(), 50u);
+  EXPECT_EQ(bus.suppressed_total(), 1u);
+}
+
 // The property the /events consumer leans on: kept sequence numbers
 // are exactly 1..last_seq with no gaps, even when many threads emit
 // mixed severities through an actively suppressing limiter.
